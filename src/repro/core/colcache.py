@@ -13,8 +13,8 @@ make that work massively redundant:
 
 :class:`ColumnCache` therefore memoizes, per ``(function, attribute)`` key, a
 lazily-filled *value map* ``{source value -> transformed value}``.  Whether a
-whole column is transformed for blocking or a block's value histogram is
-transformed for candidate ranking, each distinct value is pushed through the
+whole column is transformed for blocking or a block sample's distinct values
+are mapped for candidate ranking, each distinct value is pushed through the
 function at most once per search — every further occurrence, in any block of
 any state, is a dictionary lookup.
 
@@ -31,7 +31,7 @@ share one code space per attribute, so equal values always get equal codes),
 and every cached ``(function, attribute)`` transform also yields an integer
 *code array* plus a code-to-code map.  Blocking, refinement and candidate
 ranking then run on small integers instead of strings — key hashing, block
-splitting and histogram counting all get markedly cheaper.
+splitting and overlap counting all get markedly cheaper.
 :data:`NOT_APPLICABLE` owns the reserved code
 :data:`NOT_APPLICABLE_CODE`, which no real value is ever assigned, so
 inapplicable cells keep missing every target code.
@@ -45,9 +45,9 @@ status, so operators can watch hit rates live.
 from __future__ import annotations
 
 from array import array
-from collections import Counter, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..dataio import Table
 from ..dataio.table import Column
@@ -181,7 +181,7 @@ class ColumnCache:
         When ``True`` (and the cache is enabled) the dictionary-encoding
         layer is active: blocking and ranking consumers may request integer
         code arrays (:meth:`transformed_codes`, :meth:`encoded_column`,
-        :meth:`transformed_code_histograms`).  ``False`` keeps the plain
+        :meth:`code_map_for`).  ``False`` keeps the plain
         string-keyed columnar engine — the baseline of the blocking-codes
         benchmark and of the encoded-vs-string equivalence tests.
     """
@@ -415,165 +415,40 @@ class ColumnCache:
             entry.codes = codes
         return codes
 
-    def transformed_code_histograms(
-            self, attribute: str, function: AttributeFunction,
-            slices: Sequence[Mapping[int, int]],
-            restrict_to: Optional[Sequence[AbstractSet[int]]] = None,
-    ) -> List[Mapping[int, int]]:
-        """:meth:`transformed_histograms` in code space.
+    def code_map_for(self, attribute: str,
+                     function: AttributeFunction) -> Optional[List[int]]:
+        """The raw-source-code -> transformed-code map of *function*.
 
-        *slices* are histograms keyed by raw-source-value codes (one per
-        sampled block); the result histograms are keyed by transformed-value
-        codes.  *restrict_to* optionally gives, per slice, the only
-        transformed codes of interest (a block's target codes for overlap
-        scoring).  Counts are identical to the string-space method —
-        codecs are bijections on each attribute's domain — but every lookup
-        is an integer list index instead of a string hash.
+        Candidate ranking takes each candidate's image of a block sample's
+        source codes from this list in one C-level gather.  One call is one
+        cache lookup, so the hit/miss counters count candidates, not blocks.
+        The identity returns ``None`` (counted as a hit): its image of a code
+        is the code itself.  :data:`NOT_APPLICABLE_CODE` marks inapplicable
+        values and never matches a target code.
         """
         if function.is_identity:
             self._hits += 1
-            if restrict_to is None:
-                return [
-                    value_counts if isinstance(value_counts, Counter)
-                    else Counter(value_counts)
-                    for value_counts in slices
-                ]
-            return [
-                Counter({
-                    code: count
-                    for code, count in value_counts.items()
-                    if code in wanted
-                })
-                for value_counts, wanted in zip(slices, restrict_to)
-            ]
+            return None
         if not self.codes_active:
-            raise ValueError(
-                "code-space histograms require the encoded columnar engine"
-            )
-        entry = self._entry(attribute, function)
-        code_map = self._code_map(attribute, function, entry)
-        results: List[Mapping[int, int]] = []
-        for position, value_counts in enumerate(slices):
-            wanted = restrict_to[position] if restrict_to is not None else None
-            if len(value_counts) == 1:
-                # Single-valued blocks dominate deep search states.
-                ((code, count),) = value_counts.items()
-                transformed = code_map[code]
-                if transformed != NOT_APPLICABLE_CODE and (
-                        wanted is None or transformed in wanted):
-                    results.append({transformed: count})
-                else:
-                    results.append({})
-                continue
-            histogram: Dict[int, int] = {}
-            histogram_get = histogram.get
-            if wanted is None:
-                for code, count in value_counts.items():
-                    transformed = code_map[code]
-                    if transformed != NOT_APPLICABLE_CODE:
-                        histogram[transformed] = histogram_get(transformed, 0) + count
-            else:
-                for code, count in value_counts.items():
-                    transformed = code_map[code]
-                    if transformed != NOT_APPLICABLE_CODE and transformed in wanted:
-                        histogram[transformed] = histogram_get(transformed, 0) + count
-            results.append(histogram)
-        return results
+            raise ValueError("code maps require the encoded columnar engine")
+        return self._code_map(attribute, function, self._entry(attribute, function))
 
-    def transformed_histogram(self, attribute: str, function: AttributeFunction,
-                              value_counts: Mapping[str, int]) -> Counter:
-        """Histogram of *function* applied to a value histogram.
+    def value_map_for(self, attribute: str, function: AttributeFunction,
+                      values: Sequence[str]) -> Optional[Mapping[str, str]]:
+        """:meth:`code_map_for` in string space: the value map of *function*,
+        extended to cover *values* (read-only).
 
-        *value_counts* is the histogram of some slice of the attribute's
-        column (e.g. one block's source values).  Each distinct value is
-        transformed through the value map and its multiplicity is added to
-        the result; not-applicable values are dropped.  Single-slice
-        convenience form of :meth:`transformed_histograms`.
-        """
-        (histogram,) = self.transformed_histograms(attribute, function, [value_counts])
-        return Counter(histogram)
-
-    def transformed_histograms(self, attribute: str, function: AttributeFunction,
-                               slices: Sequence[Mapping[str, int]],
-                               distinct_values: Optional[Sequence[str]] = None,
-                               restrict_to: Optional[Sequence[AbstractSet[str]]] = None,
-                               ) -> List[Mapping[str, int]]:
-        """:meth:`transformed_histogram` over several slices, one map lookup.
-
-        Candidate ranking scores a candidate over every sampled block of a
-        state; resolving the value map once for the whole batch keeps the
-        hit/miss counters meaningful (one lookup per candidate, not per
-        block).  When the caller scores many candidates over the same slices
-        it can pass the union of the slices' keys as *distinct_values* once,
-        saving the per-slice membership sweep.  *restrict_to* optionally
-        gives, per slice, the only transformed values of interest (e.g. the
-        block's target values for overlap scoring); others are dropped, which
-        for poorly-matching candidates skips almost all histogram insertions.
+        Inapplicable values map to :data:`NOT_APPLICABLE`, which no snapshot
+        cell may hold.  The identity returns ``None`` (counted as a hit).
         """
         if function.is_identity:
             self._hits += 1
-            if restrict_to is None:
-                # The slices themselves (callers treat results as read-only).
-                return [
-                    value_counts if isinstance(value_counts, Counter)
-                    else Counter(value_counts)
-                    for value_counts in slices
-                ]
-            return [
-                Counter({
-                    value: count
-                    for value, count in value_counts.items()
-                    if value in wanted
-                })
-                for value_counts, wanted in zip(slices, restrict_to)
-            ]
+            return None
         if not self._enabled:
-            self._misses += 1
-            apply = function.apply
-            results = []
-            applications = 0
-            for value_counts in slices:
-                histogram: Counter = Counter()
-                for value, count in value_counts.items():
-                    transformed = apply(value)
-                    applications += 1
-                    if transformed is not None:
-                        histogram[transformed] += count
-                results.append(histogram)
-            self._applications += applications
-            return results
+            raise ValueError("value maps require the columnar engine")
         mapping = self._entry(attribute, function).mapping
-        if distinct_values is not None:
-            self._extend_map(mapping, function, distinct_values)
-        results = []
-        for position, value_counts in enumerate(slices):
-            if distinct_values is None:
-                self._extend_map(mapping, function, value_counts.keys())
-            wanted = restrict_to[position] if restrict_to is not None else None
-            if len(value_counts) == 1:
-                # Single-valued blocks dominate deep search states.
-                ((value, count),) = value_counts.items()
-                transformed = mapping[value]
-                if transformed is not NOT_APPLICABLE and (
-                        wanted is None or transformed in wanted):
-                    results.append({transformed: count})
-                else:
-                    results.append({})
-                continue
-            histogram: Dict[str, int] = {}
-            histogram_get = histogram.get
-            if wanted is None:
-                for value, count in value_counts.items():
-                    transformed = mapping[value]
-                    if transformed is not NOT_APPLICABLE:
-                        histogram[transformed] = histogram_get(transformed, 0) + count
-            else:
-                for value, count in value_counts.items():
-                    transformed = mapping[value]
-                    if transformed is not NOT_APPLICABLE and transformed in wanted:
-                        histogram[transformed] = histogram_get(transformed, 0) + count
-            results.append(histogram)
-        return results
+        self._extend_map(mapping, function, values)
+        return mapping
 
     # ------------------------------------------------------------------ #
     # maintenance and statistics

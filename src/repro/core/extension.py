@@ -27,13 +27,18 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from operator import itemgetter
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, Mapping, Optional, Sequence, Tuple,
+)
 
+from ..dataio import Table
 from ..functions import AttributeFunction
 from ..functions.induction import CandidatePool, InductionMemo
 from ..obs import Tracer, ensure_tracer
 from ..linking.alignment import AlignmentPairs, induce_greedy_mapping, sample_random_alignment
-from ..linking.histogram import block_overlap, indexed_histogram, restricted_overlap
+from ..linking.histogram import block_overlap, indexed_histogram
 from .blocking import (
     Block,
     BlockingResult,
@@ -41,6 +46,7 @@ from .blocking import (
     refine_blocking,
     refine_blocking_bounds,
 )
+from .colcache import ColumnCache
 from .config import AffidavitConfig
 from .evaluator import StateEvaluator
 from .instance import ProblemInstance
@@ -67,6 +73,176 @@ class Extension:
     attribute: Optional[str]
 
 
+#: A sampled block as ``(source row ids, target row ids)``.
+BlockIds = Tuple[Sequence[int], Sequence[int]]
+
+
+def induce_generation_counts(
+        memo: InductionMemo, instance: ProblemInstance, attribute: str,
+        examples: Iterable[Tuple[Hashable, int]],
+        block_source_ids: Callable[[Hashable], Sequence[int]],
+) -> Tuple[Dict[AttributeFunction, int], int]:
+    """Generation counts of *attribute*'s candidates over sampled examples.
+
+    Each example is a ``(block key, target row id)`` pair and
+    *block_source_ids* gives a block's source row ids.  The example's source
+    values are the block's distinct source values in sorted order, exactly
+    as the row-wise :class:`CandidatePool` path sees them, and the returned
+    counts iterate in first-generation order.  Shared by the sequential
+    expander and the sharded engine's induction task.
+    """
+    source_column = instance.source.column_view(attribute)
+    target_column = instance.target.column_view(attribute)
+
+    def block_values(block_key: Hashable) -> List[str]:
+        return sorted({source_column[row] for row in block_source_ids(block_key)})
+
+    return memo.generation_counts(
+        instance.registry,
+        ((block_key, target_column[row]) for block_key, row in examples),
+        block_values,
+    )
+
+
+class _GroupOverlaps(dict):
+    """``(target key, source keys) -> summed overlap`` over a postings index,
+    filled on first lookup.
+
+    The overlap a candidate gains from sending a group of source keys onto
+    one target key depends on nothing else, so candidates sharing a group
+    (the identity's ``(k, (k,))`` pairs above all) share its score.  Within
+    a block the group's source counts add up before the minimum with the
+    target count is taken."""
+
+    __slots__ = ("_postings", "_targets")
+
+    def __init__(self, postings: Mapping[Hashable, Dict[int, int]],
+                 targets: Mapping[Hashable, Dict[int, int]]):
+        super().__init__()
+        self._postings = postings
+        self._targets = targets
+
+    def __missing__(self, group: Tuple[Hashable, Tuple[Hashable, ...]]) -> int:
+        target_key, source_keys = group
+        wanted = self._targets[target_key]
+        merged: Dict[int, int] = {}
+        for source_key in source_keys:
+            counts = self._postings[source_key]
+            for position in counts.keys() & wanted.keys():
+                merged[position] = merged.get(position, 0) + counts[position]
+        self[group] = overlap = sum(map(min, merged.values(),
+                                        map(wanted.__getitem__, merged)))
+        return overlap
+
+
+class PostingsIndex:
+    """Histogram overlap of many candidates over one ranking call's blocks.
+
+    Section 4.4.3 scores a candidate by how much of each sampled block's
+    target histogram its transformed source histogram covers.  Instead of
+    one histogram pass per candidate and block, the index is built once per
+    call: every distinct source key (a code, or a value in string space)
+    and every target key gets its postings ``{block position: count}``.  A
+    candidate is then scored from its *image* of the distinct source keys,
+    gathered in C from its code or value map:
+
+    * an image that misses every target key scores 0 after one
+      ``isdisjoint`` check;
+    * otherwise the matching source keys are grouped by their target key
+      and the per-group overlaps summed; each group is scored once per call
+      and shared by every candidate that forms it.
+
+    Overlaps are also memoised per image tuple, so distinct candidates that
+    agree on the sample (e.g. non-matching affixes that all collapse to the
+    identity image) are scored once.  The scores equal the per-block
+    histogram overlaps of the row-wise engine exactly.
+    """
+
+    __slots__ = ("keys", "_target_keys", "_gather", "_groups", "_overlaps")
+
+    def __init__(self, source_column: Sequence[Hashable],
+                 target_column: Sequence[Hashable], blocks: Sequence[BlockIds]):
+        postings: Dict[Hashable, Dict[int, int]] = {}
+        targets: Dict[Hashable, Dict[int, int]] = {}
+        for position, (source_ids, target_ids) in enumerate(blocks):
+            for index, column, ids in ((postings, source_column, source_ids),
+                                       (targets, target_column, target_ids)):
+                for key, count in indexed_histogram(column, ids).items():
+                    counts = index.get(key)
+                    if counts is None:
+                        index[key] = {position: count}
+                    else:
+                        counts[position] = count
+        #: The distinct source keys in first-sample order; also the image of
+        #: the identity.
+        self.keys: Tuple[Hashable, ...] = tuple(postings)
+        self._target_keys = targets.keys()
+        if len(self.keys) == 1:
+            (only,) = self.keys
+            self._gather = lambda mapping: (mapping[only],)
+        elif self.keys:
+            self._gather = itemgetter(*self.keys)
+        else:
+            self._gather = lambda mapping: ()
+        self._groups = _GroupOverlaps(postings, targets)
+        self._overlaps: Dict[Tuple[Hashable, ...], int] = {}
+
+    def overlap(self, mapping: Optional[Mapping]) -> int:
+        """Summed overlap of the candidate whose source-key map is *mapping*
+        (``None`` for the identity)."""
+        image = self.keys if mapping is None else self._gather(mapping)
+        target_keys = self._target_keys
+        if target_keys.isdisjoint(image):
+            return 0
+        overlap = self._overlaps.get(image)
+        if overlap is None:
+            grouped: Dict[Hashable, List[Hashable]] = {}
+            for source_key, target_key in compress(
+                    zip(self.keys, image), map(target_keys.__contains__, image)):
+                sources = grouped.get(target_key)
+                if sources is None:
+                    grouped[target_key] = [source_key]
+                else:
+                    sources.append(source_key)
+            groups = self._groups
+            overlap = 0
+            for target_key, sources in grouped.items():
+                overlap += groups[target_key, tuple(sources)]
+            self._overlaps[image] = overlap
+        return overlap
+
+
+def candidate_overlaps(cache: ColumnCache, target: Table, attribute: str,
+                       functions: Sequence[AttributeFunction],
+                       blocks: Sequence[BlockIds]) -> List[int]:
+    """Sampled-block overlap of every function, through one postings index.
+
+    With dictionary encoding active the index is keyed by the attribute's
+    codes and each function's image is gathered from its code map;
+    otherwise it is keyed by cell values and gathered from the value map.
+    One map lookup per function either way.  Shared by the sequential
+    expander and the sharded engine's ranking task; overlaps are additive
+    over blocks, so shard sums equal the sequential result.
+    """
+    if cache.codes_active:
+        index = PostingsIndex(
+            cache.source_value_codes(attribute),
+            cache.encoded_column(attribute, target.column_view(attribute)),
+            blocks,
+        )
+        return [
+            index.overlap(cache.code_map_for(attribute, function))
+            for function in functions
+        ]
+    index = PostingsIndex(
+        cache.table.column_view(attribute), target.column_view(attribute), blocks
+    )
+    return [
+        index.overlap(cache.value_map_for(attribute, function, index.keys))
+        for function in functions
+    ]
+
+
 class StateExpander:
     """Produces the successor states of a search state (Algorithm 1)."""
 
@@ -84,11 +260,12 @@ class StateExpander:
             min_successes=config.min_generation_successes,
         )
         self._ranking_budget = cochran_sample_size(config.theta)
-        # Cross-state memo of per-example candidate induction; only the
-        # columnar engine uses it (the row-wise fallback stays pre-memoization
-        # so benchmarks and equivalence tests compare against the true
-        # baseline).  Induction is deterministic per (source, target) value
-        # pair, so memoization cannot change the induced candidates.
+        # Cross-state memo of per-example candidate induction over interned
+        # function ids; only the columnar engine uses it (the row-wise
+        # fallback stays pre-memoization so benchmarks and equivalence tests
+        # compare against the true baseline).  Induction is deterministic per
+        # (source, target) value pair, so memoization cannot change the
+        # induced candidates.
         self._induction_memo: Optional[InductionMemo] = (
             InductionMemo() if evaluator.columnar else None
         )
@@ -307,34 +484,47 @@ class StateExpander:
 
         The returned mapping iterates in first-generation order — the order
         :meth:`CandidatePool.filtered` would produce — which downstream
-        ranking relies on for stable tie-breaking.  The sharded engine
-        overrides this to induce example shards remotely and merge the
-        per-shard pools in shard order (which preserves exactly this order).
+        ranking relies on for stable tie-breaking.  The columnar engine
+        counts through :func:`induce_generation_counts`, the row-wise engine
+        through a plain :class:`CandidatePool`.  The sharded engine overrides
+        this to run :func:`induce_generation_counts` on example shards
+        remotely and merge the per-shard counts in shard order (which
+        preserves exactly this order).
         """
+        should_stop = self._config.should_stop
+
+        def examples() -> Iterable[Tuple[int, int]]:
+            for position, (block_index, offset) in enumerate(sampled):
+                # Per-example induction is the single most expensive inner
+                # loop, so a deadline firing mid-attribute truncates the
+                # sample instead of finishing it.  The significance threshold
+                # scales with ``examples_seen``, so a truncated sample still
+                # yields honest (if fewer) candidates; without a stop hook
+                # the loop and the trajectory are unchanged.
+                if should_stop is not None and position % 32 == 31 and should_stop():
+                    return
+                yield block_index, mixed_blocks[block_index].target_ids[offset]
+
+        if self._induction_memo is not None:
+            return induce_generation_counts(
+                self._induction_memo, self._instance, attribute, examples(),
+                lambda block_index: mixed_blocks[block_index].source_ids,
+            )
+        # Row-wise engine: the un-memoised pool, the reference the interned
+        # path is tested against.
         source_column = self._instance.source.column_view(attribute)
         target_column = self._instance.target.column_view(attribute)
         pool = CandidatePool()
         block_values: Dict[int, List[str]] = {}
-        should_stop = self._config.should_stop
-        for position, (block_index, offset) in enumerate(sampled):
-            # Per-example induction is the single most expensive inner loop,
-            # so a deadline firing mid-attribute truncates the sample instead
-            # of finishing it.  The significance threshold scales with
-            # ``examples_seen``, so a truncated sample still yields honest
-            # (if fewer) candidates; without a stop hook the loop and the
-            # trajectory are unchanged.
-            if should_stop is not None and position % 32 == 31 and should_stop():
-                break
-            block = mixed_blocks[block_index]
+        for block_index, target_row in examples():
             values = block_values.get(block_index)
             if values is None:
-                values = sorted({source_column[source_id] for source_id in block.source_ids})
+                values = sorted({
+                    source_column[source_id]
+                    for source_id in mixed_blocks[block_index].source_ids
+                })
                 block_values[block_index] = values
-            pool.add_example(
-                self._instance.registry, values,
-                target_column[block.target_ids[offset]],
-                memo=self._induction_memo,
-            )
+            pool.add_example(self._instance.registry, values, target_column[target_row])
         return pool.generation_counts(), pool.examples_seen
 
     def _rank_candidates(self, candidates: Sequence[AttributeFunction],
@@ -342,10 +532,9 @@ class StateExpander:
                          attribute: str) -> List[AttributeFunction]:
         """Rank candidates by sampled histogram overlap minus description length.
 
-        The columnar engine transforms the whole source column once per
-        candidate (served by the column cache, so usually once per *search*)
-        and counts per-block histograms by row id; the target histograms are
-        shared across all candidates.  The row-wise fallback applies every
+        The columnar engine indexes the sampled blocks once and scores each
+        candidate from its memoized code (or value) map — see
+        :class:`PostingsIndex`.  The row-wise fallback applies every
         candidate cell by cell per block, as the pre-columnar engine did.
         Both paths produce identical overlap scores and ranking.
         """
@@ -376,59 +565,22 @@ class StateExpander:
             self, candidates: Sequence[AttributeFunction],
             mixed_blocks: Sequence[Block], block_indices: Sequence[int],
             attribute: str) -> List[Tuple[float, int, AttributeFunction]]:
-        """Overlap scores via the column cache's value maps.
-
-        Per sampled block, the source values are collapsed into a value
-        histogram once; every candidate is then scored per *distinct* value
-        through its memoized value map, so a value transformed for any
-        earlier candidate-block pair — in this state or a sibling — is never
-        pushed through ``apply`` again.  The per-block target histograms are
-        likewise computed once and shared by all candidates.
-
-        With dictionary encoding active, the histograms are built over the
-        attribute's *code arrays* and every candidate is scored through its
-        code-to-code map — each per-value step is a list index and an int
-        comparison instead of a string hash.  The counts, and therefore the
-        scores and the ranking, are identical either way.
+        """Overlap scores through a :class:`PostingsIndex` of the sampled
+        blocks and each candidate's memoized code map (value map without
+        dictionary encoding).  Scores equal :meth:`_score_candidates_rowwise`.
         """
-        cache = self._evaluator.column_cache
-        blocks = [mixed_blocks[i] for i in block_indices]
-        if cache.codes_active:
-            source_column: Sequence = cache.source_value_codes(attribute)
-            target_column: Sequence = cache.encoded_column(
-                attribute, self._instance.target.column_view(attribute)
-            )
-        else:
-            source_column = self._instance.source.column_view(attribute)
-            target_column = self._instance.target.column_view(attribute)
-        target_histograms = [
-            indexed_histogram(target_column, block.target_ids) for block in blocks
+        blocks = [
+            (mixed_blocks[i].source_ids, mixed_blocks[i].target_ids)
+            for i in block_indices
         ]
-        source_histograms = [
-            indexed_histogram(source_column, block.source_ids) for block in blocks
+        overlaps = candidate_overlaps(
+            self._evaluator.column_cache, self._instance.target, attribute,
+            candidates, blocks,
+        )
+        return [
+            (overlap - candidate.description_length, -order, candidate)
+            for order, (candidate, overlap) in enumerate(zip(candidates, overlaps))
         ]
-        target_keys = [histogram.keys() for histogram in target_histograms]
-        if cache.codes_active:
-            def transform(candidate: AttributeFunction):
-                return cache.transformed_code_histograms(
-                    attribute, candidate, source_histograms,
-                    restrict_to=target_keys,
-                )
-        else:
-            distinct_values = list(dict.fromkeys(
-                value for histogram in source_histograms for value in histogram
-            ))
-
-            def transform(candidate: AttributeFunction):
-                return cache.transformed_histograms(
-                    attribute, candidate, source_histograms, distinct_values,
-                    restrict_to=target_keys,
-                )
-        scored: List[Tuple[float, int, AttributeFunction]] = []
-        for order, candidate in enumerate(candidates):
-            overlap = restricted_overlap(transform(candidate), target_histograms)
-            scored.append((overlap - candidate.description_length, -order, candidate))
-        return scored
 
     def _score_candidates_rowwise(
             self, candidates: Sequence[AttributeFunction],

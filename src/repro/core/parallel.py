@@ -6,14 +6,16 @@ This module shards the three pure phases of the per-attribute candidate
 evaluation across a persistent :class:`concurrent.futures.ProcessPoolExecutor`:
 
 1. **Candidate induction** — the sampled ``(block, target value)`` examples
-   are split into contiguous shards; each worker runs its shard through a
-   private :class:`~repro.functions.induction.CandidatePool` (memoized by a
-   worker-local :class:`~repro.functions.induction.InductionMemo`) and ships
-   back ``(function, generation count)`` pairs in first-generation order.
+   are split into contiguous shards; each worker counts its shard with the
+   sequential kernel (:func:`~repro.core.extension.induce_generation_counts`
+   over a worker-local :class:`~repro.functions.induction.InductionMemo`)
+   and ships back ``(function, generation count)`` pairs in
+   first-generation order.
 2. **Candidate ranking** — the sampled blocks are split into weight-balanced
    contiguous shards; each worker scores *every* candidate on its shard
-   through a worker-local :class:`~repro.core.colcache.ColumnCache` and ships
-   back per-candidate integer overlaps.
+   with the sequential kernel (:func:`~repro.core.extension.candidate_overlaps`
+   through a worker-local :class:`~repro.core.colcache.ColumnCache`) and
+   ships back per-candidate integer overlaps.
 3. **Refinement bounds** — the state's blocking partitions (the shard unit)
    are split into weight-balanced contiguous shards; each worker refines its
    partitions under every candidate function and ships back the per-function
@@ -57,9 +59,8 @@ from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..functions import AttributeFunction
-from ..functions.induction import CandidatePool, InductionMemo
+from ..functions.induction import InductionMemo
 from ..obs import get_registry
-from ..linking.histogram import indexed_histogram, restricted_overlap
 from .blocking import (
     Block,
     BlockingResult,
@@ -67,7 +68,7 @@ from .blocking import (
     refine_blocking_bounds,
 )
 from .colcache import ColumnCache
-from .extension import StateExpander
+from .extension import StateExpander, candidate_overlaps, induce_generation_counts
 from .instance import ProblemInstance
 
 #: Below these work sizes a phase stays in the coordinator: the IPC round trip
@@ -329,26 +330,13 @@ def _induce_shard(token: str, blob: Optional[bytes], attribute: str,
     processed.
     """
     context = _worker_context(token, blob)
-    source_column = context.instance.source.column_view(attribute)
-    target_column = context.instance.target.column_view(attribute)
-    registry = context.instance.registry
-    pool = CandidatePool()
-    values_by_block: Dict[int, List[str]] = {}
     pairs = memoryview(examples_blob).cast("i")
-    for position in range(0, len(pairs), 2):
-        block_id = pairs[position]
-        values = values_by_block.get(block_id)
-        if values is None:
-            values = sorted({
-                source_column[source_id]
-                for source_id in _unpack_ids(block_sources[block_id])
-            })
-            values_by_block[block_id] = values
-        pool.add_example(
-            registry, values, target_column[pairs[position + 1]],
-            memo=context.memo,
-        )
-    return list(pool.generation_counts().items()), pool.examples_seen
+    counts, examples_seen = induce_generation_counts(
+        context.memo, context.instance, attribute,
+        zip(pairs[0::2], pairs[1::2]),
+        lambda block_id: _unpack_ids(block_sources[block_id]),
+    )
+    return list(counts.items()), examples_seen
 
 
 def _score_shard(token: str, blob: Optional[bytes], attribute: str,
@@ -356,34 +344,18 @@ def _score_shard(token: str, blob: Optional[bytes], attribute: str,
                  lengths_blob: bytes, flat_blob: bytes) -> List[int]:
     """Overlap contributions of one contiguous shard of sampled blocks.
 
-    Mirrors the inner loop of ``StateExpander._score_candidates_columnar``
-    restricted to the shard's blocks — including its code-space form: the
-    histograms are keyed by the worker's dictionary codes and every function
-    is scored through its code-to-code map.  Overlaps are code-independent
-    integers and additive across shards.  Blocks arrive as packed int32
-    buffers (see :func:`_pack_blocks`) and are walked as zero-copy views.
+    Runs the sequential ranking kernel
+    (:func:`~repro.core.extension.candidate_overlaps`) on the shard's blocks
+    through the worker's code-space column cache.  Overlaps are
+    code-independent integers and additive across shards.  Blocks arrive as
+    packed int32 buffers (see :func:`_pack_blocks`) and are walked as
+    zero-copy views.
     """
     context = _worker_context(token, blob)
-    blocks = _unpack_blocks(lengths_blob, flat_blob)
-    cache = context.cache
-    source_column = cache.source_value_codes(attribute)
-    target_column = cache.encoded_column(
-        attribute, context.instance.target.column_view(attribute)
+    return candidate_overlaps(
+        context.cache, context.instance.target, attribute, functions,
+        _unpack_blocks(lengths_blob, flat_blob),
     )
-    target_histograms = [
-        indexed_histogram(target_column, target_ids) for _, target_ids in blocks
-    ]
-    source_histograms = [
-        indexed_histogram(source_column, source_ids) for source_ids, _ in blocks
-    ]
-    target_keys = [histogram.keys() for histogram in target_histograms]
-    overlaps: List[int] = []
-    for function in functions:
-        transformed = cache.transformed_code_histograms(
-            attribute, function, source_histograms, restrict_to=target_keys,
-        )
-        overlaps.append(restricted_overlap(transformed, target_histograms))
-    return overlaps
 
 
 def _bounds_shard(token: str, blob: Optional[bytes], attribute: str,

@@ -87,8 +87,34 @@ class AttributeFunction(abc.ABC):
             return (self.meta_name, self.parameters) == (other.meta_name, other.parameters)
         return NotImplemented
 
+    #: The cached :meth:`__hash__` (computed on first use, per instance).
+    _hash: Optional[int] = None
+
     def __hash__(self) -> int:
-        return hash((self.meta_name, self.parameters))
+        # Functions are immutable and used as dict keys constantly (column
+        # cache entries, interned induction ids, search states), while the
+        # parameter tuple of a large value mapping costs O(n log n) to
+        # build: hash exactly once.
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash((self.meta_name, self.parameters))
+        return cached
+
+    def __getstate__(self):
+        # The default pickle state minus the cached hash, which must not
+        # travel: another process may hash strings with a different
+        # PYTHONHASHSEED.  Spelled out because ``object.__getstate__`` only
+        # exists from Python 3.11 on.
+        instance_dict = {
+            key: value for key, value in self.__dict__.items() if key != "_hash"
+        }
+        slots = {
+            name: getattr(self, name)
+            for cls in type(self).__mro__
+            for name in cls.__dict__.get("__slots__", ())
+            if hasattr(self, name)
+        }
+        return (instance_dict or None, slots) if slots else instance_dict
 
     def __repr__(self) -> str:
         params = ", ".join(repr(p) for p in self.parameters)

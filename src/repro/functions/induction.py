@@ -16,57 +16,108 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from itertools import chain
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from .base import AttributeFunction
 from .registry import FunctionRegistry
 
 
 class InductionMemo:
-    """Memo of per-example induction results, keyed by value pair.
+    """Per-example induction results over interned function ids.
 
     ``meta.induce(source_value, target_value)`` is deterministic and the same
     value pairs recur across blocks, examples and — most importantly — search
-    states, so the flattened candidate list of a pair can be reused wherever
-    the same registry is in play.  One memo must therefore only ever be used
-    with a single registry; the state expander owns one per search.
+    states, so the candidates of a pair are induced once and remembered.
+    Every induced function is *interned* as a small int the first time it is
+    seen, and a value pair maps to the tuple of its candidates' ids in
+    registry order.  Counting generations then hashes ints instead of
+    :class:`AttributeFunction` objects; ids map back to functions only for the
+    returned counts.  One memo must only ever be used with a single registry;
+    the state expander owns one per search.
 
-    The memo is cleared wholesale once it exceeds *max_entries* — simpler
-    than LRU bookkeeping and good enough for a structure that exists for the
-    lifetime of one search.
+    The memo is cleared wholesale — pairs and ids together — once it holds
+    *max_entries* pairs.  That happens only at the start of a
+    :meth:`generation_counts` call, so no id outlives its function.
     """
 
-    __slots__ = ("_entries", "_max_entries", "hits", "misses")
+    __slots__ = ("_pairs", "_ids", "_functions", "_max_entries", "hits", "misses")
 
     def __init__(self, max_entries: int = 262_144):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._entries: Dict[Tuple[str, str], List[AttributeFunction]] = {}
+        self._pairs: Dict[Tuple[str, str], Tuple[int, ...]] = {}
+        self._ids: Dict[AttributeFunction, int] = {}
+        self._functions: List[AttributeFunction] = []
         self._max_entries = max_entries
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._pairs)
 
-    def induced(self, registry: FunctionRegistry, source_value: str,
-                target_value: str) -> List[AttributeFunction]:
-        """All candidates of *registry* for one example, in registry order."""
+    def _induced_ids(self, registry: FunctionRegistry, source_value: str,
+                     target_value: str) -> Tuple[int, ...]:
+        """Ids of all candidates of *registry* for one value pair."""
         key = (source_value, target_value)
-        cached = self._entries.get(key)
+        cached = self._pairs.get(key)
         if cached is not None:
             self.hits += 1
             return cached
         self.misses += 1
-        induced = [
-            function
-            for meta in registry
-            for function in meta.induce(source_value, target_value)
-        ]
-        if len(self._entries) >= self._max_entries:
-            self._entries.clear()
-        self._entries[key] = induced
-        return induced
+        ids = self._ids
+        functions = self._functions
+        induced = []
+        for meta in registry:
+            for function in meta.induce(source_value, target_value):
+                function_id = ids.get(function)
+                if function_id is None:
+                    function_id = ids[function] = len(functions)
+                    functions.append(function)
+                induced.append(function_id)
+        self._pairs[key] = result = tuple(induced)
+        return result
+
+    def generation_counts(
+            self, registry: FunctionRegistry,
+            examples: Iterable[Tuple[Hashable, str]],
+            block_values: Callable[[Hashable], Sequence[str]],
+    ) -> Tuple[Dict[AttributeFunction, int], int]:
+        """``(function -> generation count, examples seen)`` over *examples*.
+
+        Each example is a ``(block key, target value)`` pair; *block_values*
+        gives a block's source values (called once per block key).  Counts
+        and iteration order equal a :class:`CandidatePool` fed the same
+        examples: each example counts a candidate at most once, and the
+        result iterates in first-generation order.  An example repeating
+        within the call reuses its deduplicated id tuple.
+        """
+        if len(self._pairs) >= self._max_entries:
+            self._pairs.clear()
+            self._ids.clear()
+            self._functions.clear()
+        induced_ids = self._induced_ids
+        values_by_block: Dict[Hashable, Sequence[str]] = {}
+        per_example: Dict[Tuple[Hashable, str], Tuple[int, ...]] = {}
+        counts: Counter = Counter()
+        examples_seen = 0
+        for block_key, target_value in examples:
+            examples_seen += 1
+            key = (block_key, target_value)
+            example_ids = per_example.get(key)
+            if example_ids is None:
+                values = values_by_block.get(block_key)
+                if values is None:
+                    values = values_by_block[block_key] = block_values(block_key)
+                example_ids = per_example[key] = tuple(dict.fromkeys(chain.from_iterable(
+                    induced_ids(registry, value, target_value) for value in values
+                )))
+            counts.update(example_ids)
+        functions = self._functions
+        return (
+            {functions[function_id]: count for function_id, count in counts.items()},
+            examples_seen,
+        )
 
 
 @dataclass
@@ -107,35 +158,26 @@ class CandidatePool:
         return Counter({f: s.generation_count for f, s in self._stats.items()})
 
     def add_example(self, registry: FunctionRegistry, source_values: Sequence[str],
-                    target_value: str,
-                    memo: Optional[InductionMemo] = None) -> None:
+                    target_value: str) -> None:
         """Induce candidates for one sampled target value.
 
         Every source value of the target's block is tried as the input half of
         the example, but each candidate is counted at most once per example so
-        that large blocks do not dominate the significance statistics.  When a
-        *memo* is given, the per-value-pair induction is served from it.
+        that large blocks do not dominate the significance statistics.
         """
         self._examples_seen += 1
         generated_here = set()
         for source_value in source_values:
-            if memo is not None:
-                induced = memo.induced(registry, source_value, target_value)
-            else:
-                induced = [
-                    function
-                    for meta in registry
-                    for function in meta.induce(source_value, target_value)
-                ]
-            for function in induced:
-                if function in generated_here:
-                    continue
-                generated_here.add(function)
-                stats = self._stats.get(function)
-                if stats is None:
-                    stats = CandidateStats(function)
-                    self._stats[function] = stats
-                stats.record(source_value, target_value)
+            for meta in registry:
+                for function in meta.induce(source_value, target_value):
+                    if function in generated_here:
+                        continue
+                    generated_here.add(function)
+                    stats = self._stats.get(function)
+                    if stats is None:
+                        stats = CandidateStats(function)
+                        self._stats[function] = stats
+                    stats.record(source_value, target_value)
 
     def filtered(self, min_generation_count: int) -> List[AttributeFunction]:
         """Candidates generated at least *min_generation_count* times."""

@@ -37,12 +37,11 @@ class ValueMapping(AttributeFunction):
     #: would only evict reusable entries from the column cache.
     cacheable = False
 
-    __slots__ = ("_entries", "_hash")
+    __slots__ = ("_entries",)
 
     def __init__(self, entries: Mapping[str, str]):
         frozen = {str(key): str(value) for key, value in entries.items()}
         self._entries = MappingProxyType(frozen)
-        self._hash: Optional[int] = None
 
     @property
     def entries(self) -> Mapping[str, str]:
@@ -58,14 +57,6 @@ class ValueMapping(AttributeFunction):
 
     def apply_column(self, values: Sequence[str]) -> List[Optional[str]]:
         return list(map(self._entries.get, values))
-
-    def __hash__(self) -> int:
-        # The parameter tuple of a large mapping costs O(n log n) to build;
-        # mappings are immutable and used as dict keys constantly, so hash
-        # exactly once.
-        if self._hash is None:
-            self._hash = super().__hash__()
-        return self._hash
 
     def __reduce__(self):
         # MappingProxyType (and __slots__) defeat the default pickle protocol;

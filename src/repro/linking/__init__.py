@@ -11,7 +11,6 @@ from .histogram import (
     block_overlap,
     histogram_overlap,
     indexed_histogram,
-    restricted_overlap,
     transformed_histogram,
     value_histogram,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "value_histogram",
     "histogram_overlap",
     "indexed_histogram",
-    "restricted_overlap",
     "transformed_histogram",
     "block_overlap",
     "OverlapAnalysis",

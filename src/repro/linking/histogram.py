@@ -34,27 +34,6 @@ def indexed_histogram(column: Sequence[Hashable], ids: Sequence[int],
     return histogram
 
 
-def restricted_overlap(histograms: Sequence[Mapping[Hashable, int]],
-                       target_histograms: Sequence[Counter]) -> int:
-    """Summed min-frequency overlap of per-block histogram pairs.
-
-    The fused scoring loop of candidate ranking: *histograms* holds one
-    (already transformed, possibly target-restricted) histogram per sampled
-    block, *target_histograms* the matching block target histograms.  When
-    the transformed histograms were restricted to the target's keys, every
-    entry contributes; the identity path's unrestricted histograms rely on
-    the Counters returning 0 for unseen keys, so no key intersection is
-    needed either way.  Works identically on value-keyed and code-keyed
-    histograms.
-    """
-    overlap = 0
-    for histogram, target_histogram in zip(histograms, target_histograms):
-        for value, count in histogram.items():
-            target_count = target_histogram[value]
-            overlap += count if count < target_count else target_count
-    return overlap
-
-
 def value_histogram(values: Iterable[str]) -> Counter:
     """Frequency histogram of an iterable of cell values."""
     return Counter(values)

@@ -227,19 +227,24 @@ class JobEventBuffer:
         kind = payload.pop("kind")
         return self.append(kind, **payload)
 
-    def collect(self, after: int) -> Tuple[List[Dict[str, Any]], int]:
-        """``(frames with sequence > after, frames lost to the bound)``.
+    def collect(self, after: int) -> Tuple[List[Dict[str, Any]], int, bool]:
+        """``(frames with sequence > after, frames lost to the bound,
+        closed)``, all read under one lock.
 
         The second value is nonzero only when *after* points before the
         oldest retained frame — the stream emits one ``truncated`` frame so
-        resuming clients know their view has a hole.
+        resuming clients know their view has a hole.  The third says whether
+        the terminal frame had been appended when the frames were taken: a
+        reader that finds it ``True`` and no terminal frame among *frames*
+        has already seen (or lost) the terminal frame.  Reading ``closed``
+        separately would race a job finishing between the two reads.
         """
         with self._cond:
             frames = [frame for frame in self._frames
                       if frame["sequence"] > after]
             oldest = self._next_sequence - len(self._frames)
             lost = max(0, oldest - after - 1)
-            return frames, lost
+            return frames, lost, self._closed
 
     def wait(self, after: int, timeout: Optional[float]) -> bool:
         """Block until a frame past *after* exists or the buffer closes;

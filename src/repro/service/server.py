@@ -515,7 +515,7 @@ class _Handler(BaseHTTPRequestHandler):
         cursor = after
         truncation_reported = False
         while True:
-            frames, lost = job.events.collect(cursor)
+            frames, lost, closed = job.events.collect(cursor)
             if lost and not truncation_reported:
                 truncation_reported = True
                 self._write_frame(
@@ -525,9 +525,12 @@ class _Handler(BaseHTTPRequestHandler):
                 cursor = frame["sequence"]
                 if frame["kind"] in TERMINAL_FRAME_KINDS:
                     return
-            if job.events.closed:
-                # Terminal frame already delivered before this cursor (e.g.
-                # a resume past the end): nothing more will ever arrive.
+            if closed:
+                # The buffer was closed when these frames were taken, so the
+                # terminal frame lies at or before the cursor (e.g. a resume
+                # past the end): nothing more will ever arrive.  The flag
+                # comes from the same snapshot as the frames — a job that
+                # finishes after it is seen on the next pass.
                 return
             remaining = None if deadline is None else deadline - time.monotonic()
             if remaining is not None and remaining <= 0:

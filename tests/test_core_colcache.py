@@ -9,6 +9,8 @@ explanations to the row-wise fallback on randomized snapshot pairs.
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.core import (
@@ -29,7 +31,19 @@ from repro.datagen.datasets import load_dataset
 from repro.functions import IDENTITY, ValueMapping
 from repro.functions.affix import Prefixing
 from repro.functions.arithmetic import Addition
+from repro.core.extension import PostingsIndex
 from repro.linking.histogram import histogram_overlap, value_histogram
+
+
+def mapped_histogram(mapping, value_counts):
+    """The histogram of a slice under a code or value map from the cache
+    (``None`` is the identity); inapplicable keys are dropped."""
+    histogram = Counter()
+    for key, count in value_counts.items():
+        image = key if mapping is None else mapping[key]
+        if image not in (NOT_APPLICABLE, NOT_APPLICABLE_CODE):
+            histogram[image] += count
+    return histogram
 
 
 @pytest.fixture
@@ -198,11 +212,13 @@ class TestDictionaryEncoding:
         function = Prefixing("p-")
         column = table.column_view("text")
         string_slices = [value_histogram(column[:3]), value_histogram(column[3:])]
-        string_result = cache.transformed_histograms("text", function, string_slices)
+        value_map = cache.value_map_for("text", function, column)
+        string_result = [mapped_histogram(value_map, s) for s in string_slices]
 
         source_codes = cache.source_value_codes("text")
         code_slices = [value_histogram(source_codes[:3]), value_histogram(source_codes[3:])]
-        code_result = cache.transformed_code_histograms("text", function, code_slices)
+        code_map = cache.code_map_for("text", function)
+        code_result = [mapped_histogram(code_map, s) for s in code_slices]
         # Same multiset of counts per slice (codes are a bijection on values).
         for strings, codes in zip(string_result, code_result):
             assert sorted(strings.values()) == sorted(codes.values())
@@ -212,13 +228,28 @@ class TestDictionaryEncoding:
         cache = ColumnCache(table)
         source_codes = cache.source_value_codes("num")
         slices = [value_histogram(source_codes)]
-        unrestricted = cache.transformed_code_histograms("num", IDENTITY, slices)
+        unrestricted = mapped_histogram(cache.code_map_for("num", IDENTITY), slices[0])
         wanted = {source_codes[0]}
-        restricted = cache.transformed_code_histograms(
-            "num", IDENTITY, slices, restrict_to=[wanted]
+        # Ranking restricts a candidate's histogram to the block's target
+        # codes: a postings index whose one block targets exactly *wanted*.
+        target = [code for code in source_codes if code in wanted]
+        index = PostingsIndex(
+            source_codes, target, [(range(len(source_codes)), range(len(target)))]
         )
-        assert set(restricted[0]) == wanted
-        assert restricted[0][source_codes[0]] == unrestricted[0][source_codes[0]]
+        assert set(index.keys) >= wanted
+        assert index.overlap(cache.code_map_for("num", IDENTITY)) == \
+            unrestricted[source_codes[0]]
+
+    def test_code_map_for_counts_one_lookup_per_call(self, table):
+        cache = ColumnCache(table)
+        first = cache.code_map_for("num", Addition(1))
+        assert cache.code_map_for("num", Addition(1)) is first
+        stats = cache.stats()
+        assert (stats.misses, stats.hits) == (1, 1)
+        assert cache.code_map_for("num", IDENTITY) is None
+        assert cache.stats().hits == 2
+        with pytest.raises(ValueError):
+            ColumnCache(table, codes=False).code_map_for("num", Addition(1))
 
     def test_codes_inactive_when_disabled_or_switched_off(self, table):
         assert ColumnCache(table).codes_active
@@ -256,7 +287,8 @@ class TestTransformedHistograms:
         function = Prefixing("p")
         column = table.column_view("text")
         slices = [value_histogram(column[:3]), value_histogram(column[3:])]
-        results = cache.transformed_histograms("text", function, slices)
+        value_map = cache.value_map_for("text", function, column)
+        results = [mapped_histogram(value_map, s) for s in slices]
         for value_counts, histogram in zip(slices, results):
             expected = value_histogram(
                 function.apply(value)
@@ -271,18 +303,20 @@ class TestTransformedHistograms:
         column = table.column_view("text")
         source_slices = [value_histogram(column)]
         target_histogram = value_histogram(["pa", "pa", "pz"])
-        unrestricted = cache.transformed_histograms("text", function, source_slices)
-        restricted = cache.transformed_histograms(
-            "text", function, source_slices,
-            restrict_to=[target_histogram.keys()],
+        value_map = cache.value_map_for("text", function, column)
+        unrestricted = [mapped_histogram(value_map, s) for s in source_slices]
+        target = list(target_histogram.elements())
+        index = PostingsIndex(
+            column, target, [(range(len(column)), range(len(target)))]
         )
-        assert histogram_overlap(unrestricted[0], target_histogram) == \
-            histogram_overlap(restricted[0], target_histogram)
+        restricted = index.overlap(cache.value_map_for("text", function, index.keys))
+        assert histogram_overlap(unrestricted[0], target_histogram) == restricted
 
     def test_identity_histograms_equal_slices(self, table):
         cache = ColumnCache(table)
         slices = [value_histogram(table.column_view("text"))]
-        results = cache.transformed_histograms("text", IDENTITY, slices)
+        value_map = cache.value_map_for("text", IDENTITY, table.column_view("text"))
+        results = [mapped_histogram(value_map, s) for s in slices]
         assert results[0] == slices[0]
 
 

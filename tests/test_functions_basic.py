@@ -1,5 +1,7 @@
 """Unit tests for the basic meta functions: identity, casing, constant, arithmetic."""
 
+import pickle
+
 import pytest
 
 from repro.functions import (
@@ -18,7 +20,10 @@ from repro.functions import (
     MultiplicationMeta,
     Uppercasing,
     UppercasingMeta,
+    ValueMapping,
 )
+from repro.functions.affix import Prefixing
+from repro.functions.dates import DateConversion
 
 
 class TestIdentity:
@@ -152,3 +157,33 @@ class TestDivisionAndMultiplication:
     def test_division_description_length(self):
         assert Division(10).description_length == 1
         assert Multiplication(10).description_length == 1
+
+
+HASHED_FUNCTIONS = [
+    IDENTITY,
+    Addition(5),
+    Division(1000),
+    ConstantValue("x"),
+    Uppercasing(),
+    Prefixing("p-"),
+    DateConversion("yyyy-mm-dd", "dd.mm.yyyy"),
+    ValueMapping({"a": "b", "c": "d"}),
+]
+
+
+class TestCachedHash:
+    @pytest.mark.parametrize("function", HASHED_FUNCTIONS, ids=repr)
+    def test_hash_is_the_meta_name_and_parameters_hash(self, function):
+        expected = hash((function.meta_name, function.parameters))
+        assert hash(function) == expected
+        assert hash(function) == expected  # served from the cache
+
+    @pytest.mark.parametrize("function", HASHED_FUNCTIONS, ids=repr)
+    def test_pickle_round_trip_rehashes_instead_of_shipping_the_cache(self, function):
+        hash(function)
+        loaded = pickle.loads(pickle.dumps(function))
+        # Another process may hash strings with a different seed, so the
+        # cached value must be recomputed, not carried over.
+        assert "_hash" not in vars(loaded)
+        assert loaded == function
+        assert hash(function) == hash(loaded)

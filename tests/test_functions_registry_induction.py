@@ -151,12 +151,17 @@ class TestInductionMemo:
         registry = default_registry()
         examples = [(["80000", "abc"], "80"), (["80000"], "80"), (["abc"], "xabc")]
         memo = InductionMemo()
-        memoized, plain = CandidatePool(), CandidatePool()
+        plain = CandidatePool()
         for values, target in examples:
-            memoized.add_example(registry, values, target, memo=memo)
             plain.add_example(registry, values, target)
-        assert memoized.candidates == plain.candidates
-        assert memoized.generation_counts() == plain.generation_counts()
+        counts, seen = memo.generation_counts(
+            registry,
+            [(position, target) for position, (_, target) in enumerate(examples)],
+            lambda position: examples[position][0],
+        )
+        assert list(counts) == plain.candidates
+        assert counts == plain.generation_counts()
+        assert seen == plain.examples_seen
         assert memo.hits > 0  # the repeated value pair was served from the memo
 
     def test_memo_clears_when_full(self):
@@ -165,5 +170,5 @@ class TestInductionMemo:
         memo = InductionMemo(max_entries=2)
         registry = default_registry()
         for value in ("1", "2", "3"):
-            memo.induced(registry, value, "9")
+            memo.generation_counts(registry, [(0, "9")], lambda _: [value])
         assert len(memo) <= 2

@@ -314,13 +314,22 @@ class TestColumnarEngineProperties:
     @given(values=st.lists(cell_values, min_size=1, max_size=30), function=functions)
     @settings(max_examples=60, deadline=None)
     def test_transformed_histograms_match_per_cell_application(self, values, function):
-        from repro.core import ColumnCache
+        from repro.core import NOT_APPLICABLE, ColumnCache
 
         table = Table(Schema(["a"]), [[value] for value in values])
         cache = ColumnCache(table)
         half = len(values) // 2
         slices = [value_histogram(values[:half]), value_histogram(values[half:])]
-        results = cache.transformed_histograms("a", function, slices)
+        value_map = cache.value_map_for("a", function, values)
+        results = [
+            value_histogram(
+                image
+                for value, count in value_counts.items()
+                for image in [value if value_map is None else value_map[value]] * count
+                if image != NOT_APPLICABLE
+            )
+            for value_counts in slices
+        ]
         for slice_values, histogram in zip((values[:half], values[half:]), results):
             expected = value_histogram(
                 transformed

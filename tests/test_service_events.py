@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 
@@ -38,15 +39,16 @@ class TestJobEventBuffer:
         second = buffer.append("progressed", expansions=2)
         assert first["sequence"] == 1
         assert second["sequence"] == 2
-        frames, lost = buffer.collect(0)
+        frames, lost, closed = buffer.collect(0)
         assert lost == 0
+        assert not closed
         assert [f["sequence"] for f in frames] == [1, 2]
 
     def test_collect_after_cursor_skips_delivered(self):
         buffer = JobEventBuffer("job-x")
         for n in range(1, 5):
             buffer.append("progressed", expansions=n)
-        frames, lost = buffer.collect(2)
+        frames, lost, closed = buffer.collect(2)
         assert lost == 0
         assert [f["sequence"] for f in frames] == [3, 4]
 
@@ -54,12 +56,12 @@ class TestJobEventBuffer:
         buffer = JobEventBuffer("job-x", max_frames=4)
         for n in range(1, 11):
             buffer.append("progressed", expansions=n)
-        frames, lost = buffer.collect(0)
+        frames, lost, closed = buffer.collect(0)
         assert len(frames) == 4
         assert [f["sequence"] for f in frames] == [7, 8, 9, 10]
         assert lost == 6
         # A cursor inside the retained window loses nothing.
-        frames, lost = buffer.collect(8)
+        frames, lost, closed = buffer.collect(8)
         assert lost == 0
         assert [f["sequence"] for f in frames] == [9, 10]
 
@@ -68,8 +70,9 @@ class TestJobEventBuffer:
         buffer.append("completed", state="done", outcome=None)
         assert buffer.closed
         assert buffer.append("progressed", expansions=1) is None
-        frames, _ = buffer.collect(0)
+        frames, _, closed = buffer.collect(0)
         assert [f["kind"] for f in frames] == ["completed"]
+        assert closed
 
     def test_wait_returns_on_new_frame(self):
         buffer = JobEventBuffer("job-x")
@@ -229,6 +232,35 @@ def test_stream_full_lifecycle_ndjson(base_url):
     # And it agrees with what polling reports.
     status, text, _ = http(base_url, "GET", f"/v1/jobs/{job_id}")
     assert json.loads(text)["state"] == "done"
+
+
+class _ClosingBuffer(JobEventBuffer):
+    """A buffer whose job finishes right after the stream's first snapshot:
+    the terminal frame lands between ``collect`` and the stream's next look
+    at the buffer."""
+
+    def __init__(self):
+        super().__init__("job-race")
+        self.append("started", name="race", engine="columnar",
+                    n_source_records=1, n_target_records=1, n_attributes=1)
+        self._finished = False
+
+    def collect(self, after):
+        snapshot = super().collect(after)
+        if not self._finished:
+            self._finished = True
+            self.append("completed", state="done", cache_hit=False,
+                        store_hit=False, outcome=None)
+        return snapshot
+
+
+def test_stream_delivers_terminal_frame_when_job_closes_mid_collect(
+        server, base_url, monkeypatch):
+    job = types.SimpleNamespace(id="job-race", events=_ClosingBuffer())
+    monkeypatch.setattr(server.manager, "get", lambda job_id: job)
+    frames, _ = stream_frames(base_url, "/v1/jobs/job-race/events")
+    assert [f.kind for f in frames] == ["started", "completed"]
+    assert frames[-1].terminal
 
 
 def test_stream_resumes_via_last_event_id_and_after(base_url):
