@@ -40,7 +40,9 @@ class StateEvaluator:
     of one parent and re-polls of a queued state ask for the same blocking
     many times, and the LRU answers all but the first from memory
     (``cache_size`` states, with hit/miss counters in
-    :meth:`blocking_cache_info`).
+    :meth:`blocking_cache_info`).  An entry is a :class:`BlockingResult`,
+    i.e. two block-id arrays; the expander builds block views from it only
+    for the state it expands.
     """
 
     def __init__(self, instance: ProblemInstance, *, alpha: float = 0.5,

@@ -43,6 +43,7 @@ from .blocking import (
     Block,
     BlockingResult,
     build_blocking,
+    max_distinct_source_values,
     refine_blocking,
     refine_blocking_bounds,
 )
@@ -294,8 +295,12 @@ class StateExpander:
                 return [self._finalize(state)]
             return []
 
-        ordered = self._order_by_indeterminacy(undecided, blocking)
-        alignment = sample_random_alignment(blocking, self._rng)
+        # The one materialisation of this state's block views: every phase
+        # of the expansion reads them, and they are dropped with it (the
+        # search never expands a state twice).
+        mixed_blocks = blocking.mixed_blocks()
+        ordered = self._order_by_indeterminacy(undecided, mixed_blocks)
+        alignment = sample_random_alignment(mixed_blocks, self._rng)
 
         extensions: List[Extension] = []
         map_candidates: List[str] = []
@@ -312,7 +317,9 @@ class StateExpander:
                     # successors found so far; the search loop observes the
                     # stop before its next poll and finalises best-so-far.
                     return extensions
-                found = self._extensions_for_attribute(state, blocking, alignment, attribute)
+                found = self._extensions_for_attribute(
+                    state, blocking, mixed_blocks, alignment, attribute
+                )
                 if found:
                     extensions.extend(found)
                 else:
@@ -337,10 +344,11 @@ class StateExpander:
     # attribute ordering
     # ------------------------------------------------------------------ #
     def _order_by_indeterminacy(self, attributes: Sequence[str],
-                                blocking: BlockingResult) -> List[str]:
+                                mixed_blocks: Sequence[Block]) -> List[str]:
         """Most determined attribute first (Section 4.3)."""
+        source = self._instance.source
         scored = [
-            (blocking.max_distinct_source_values(self._instance.source, attribute),
+            (max_distinct_source_values(mixed_blocks, source.column_view(attribute)),
              self._instance.schema.index_of(attribute),
              attribute)
             for attribute in attributes
@@ -352,6 +360,7 @@ class StateExpander:
     # per-attribute extension
     # ------------------------------------------------------------------ #
     def _extensions_for_attribute(self, state: SearchState, blocking: BlockingResult,
+                                  mixed_blocks: Sequence[Block],
                                   alignment: AlignmentPairs,
                                   attribute: str) -> List[Extension]:
         """Extensions of *state* on *attribute* that beat the greedy map.
@@ -361,7 +370,7 @@ class StateExpander:
         are scored in one batch; only candidates beating the greedy benchmark
         materialise successor states.
         """
-        candidates = self._induce_ranked_candidates(blocking, attribute)
+        candidates = self._induce_ranked_candidates(mixed_blocks, attribute)
         if not candidates:
             # Nothing to compare against the greedy benchmark; skip building
             # it (no RNG is involved, so the search trajectory is unchanged).
@@ -430,10 +439,10 @@ class StateExpander:
     # ------------------------------------------------------------------ #
     # candidate induction and ranking (Section 4.4)
     # ------------------------------------------------------------------ #
-    def _induce_ranked_candidates(self, blocking: BlockingResult,
+    def _induce_ranked_candidates(self, mixed_blocks: Sequence[Block],
                                   attribute: str) -> List[AttributeFunction]:
-        """The top-β candidate functions for *attribute* under *blocking*."""
-        mixed_blocks = blocking.mixed_blocks()
+        """The top-β candidate functions for *attribute* over the state's
+        mixed blocks."""
         if not mixed_blocks:
             return []
         with self._tracer.span("induction") as span:
@@ -626,7 +635,7 @@ class StateExpander:
             blocking = build_blocking(
                 self._instance, state, self._evaluator.column_cache
             )
-            alignment = sample_random_alignment(blocking, self._rng)
+            alignment = sample_random_alignment(blocking.mixed_blocks(), self._rng)
             current = state
             for attribute in state.map_marked_attributes:
                 mapping = induce_greedy_mapping(
@@ -644,7 +653,7 @@ class StateExpander:
             if not marked:
                 break
             blocking = build_blocking(self._instance, current, cache)
-            alignment = sample_random_alignment(blocking, self._rng)
+            alignment = sample_random_alignment(blocking.mixed_blocks(), self._rng)
             attribute = marked[0]
             mapping = induce_greedy_mapping(
                 alignment, self._instance.source, self._instance.target, attribute

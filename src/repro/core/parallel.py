@@ -16,9 +16,10 @@ evaluation across a persistent :class:`concurrent.futures.ProcessPoolExecutor`:
    with the sequential kernel (:func:`~repro.core.extension.candidate_overlaps`
    through a worker-local :class:`~repro.core.colcache.ColumnCache`) and
    ships back per-candidate integer overlaps.
-3. **Refinement bounds** — the state's blocking partitions (the shard unit)
-   are split into weight-balanced contiguous shards; each worker refines its
-   partitions under every candidate function and ships back the per-function
+3. **Refinement bounds** — the state's block ids are split into
+   weight-balanced contiguous ranges; each worker receives the blocking's
+   two block-id arrays and its range, refines the rows of those blocks
+   under every candidate function and ships back the per-function
    ``(c_t, c_s)`` bound contributions.
 
 All three phases are deterministic given their inputs, and every merge is
@@ -52,21 +53,17 @@ import threading
 import time
 import uuid
 from array import array
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from contextlib import suppress
+from itertools import chain, compress
 from multiprocessing import shared_memory
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..functions import AttributeFunction
 from ..functions.induction import InductionMemo
 from ..obs import get_registry
-from .blocking import (
-    Block,
-    BlockingResult,
-    partition_refined_bounds,
-    refine_blocking_bounds,
-)
+from .blocking import BlockingResult, count_bounds, refine_blocking_bounds
 from .colcache import ColumnCache
 from .extension import StateExpander, candidate_overlaps, induce_generation_counts
 from .instance import ProblemInstance
@@ -360,27 +357,40 @@ def _score_shard(token: str, blob: Optional[bytes], attribute: str,
 
 def _bounds_shard(token: str, blob: Optional[bytes], attribute: str,
                   functions: Sequence[AttributeFunction],
-                  lengths_blob: bytes, flat_blob: bytes,
+                  source_blocks_blob: bytes, target_blocks_blob: bytes,
+                  first_block: int, end_block: int,
                   ) -> List[Tuple[int, int]]:
-    """Refinement-bound contributions of one shard of blocking partitions.
+    """Refinement-bound contributions of the blocks ``first_block`` to
+    ``end_block - 1``.
 
-    For each function, every partition is split by the transformed source
-    code (the target code for target rows) and the per-split surpluses are
-    summed — exactly the ``(c_t, c_s)`` contribution the partition makes to
-    ``BlockingResult.unaligned_bounds()`` after a ``refine_blocking`` call,
-    without materialising the refined blocking.  The shard-local form of
-    ``BlockingResult.refined_bounds``, on the worker's code arrays; blocks
-    arrive as packed int32 buffers.
+    The blocking arrives as its two packed block-id arrays (see
+    :func:`_pack_ids`).  For each function, the rows of the shard's blocks
+    are keyed by ``(block id, code)`` and counted — the shard-local form of
+    ``BlockingResult.refined_bounds`` on the worker's code arrays.  Blocks
+    are the unit of the split, so the contributions of disjoint ranges sum
+    to the whole blocking's bounds.
     """
     context = _worker_context(token, blob)
-    blocks = _unpack_blocks(lengths_blob, flat_blob)
     cache = context.cache
-    target_components = cache.encoded_column(
-        attribute, context.instance.target.column_view(attribute)
-    )
+    source_blocks = _unpack_ids(source_blocks_blob)
+    target_blocks = _unpack_ids(target_blocks_blob)
+    source_rows = [first_block <= block < end_block for block in source_blocks]
+    target_rows = [first_block <= block < end_block for block in target_blocks]
+    shard_source_blocks = list(compress(source_blocks, source_rows))
+    shard_target_keys = list(zip(
+        compress(target_blocks, target_rows),
+        compress(
+            cache.encoded_column(
+                attribute, context.instance.target.column_view(attribute)
+            ),
+            target_rows,
+        ),
+    ))
     return [
-        partition_refined_bounds(
-            blocks, cache.transformed_codes(attribute, function), target_components
+        count_bounds(
+            zip(shard_source_blocks,
+                compress(cache.transformed_codes(attribute, function), source_rows)),
+            shard_target_keys,
         )
         for function in functions
     ]
@@ -917,10 +927,8 @@ class ParallelStateExpander(StateExpander):
     # -- phase 3: refinement bounds ------------------------------------- #
     def _refinement_bounds(self, blocking: BlockingResult, attribute: str,
                            functions: Sequence[AttributeFunction]):
-        blocks: List[Block] = list(blocking)
-        weights = [
-            len(block.source_ids) + len(block.target_ids) for block in blocks
-        ]
+        source_blocks = blocking.source_blocks
+        target_blocks = blocking.target_blocks
         # Non-cacheable functions (the greedy value mapping, unique per state)
         # stay in the coordinator: their lookup tables can hold an entry per
         # aligned record, so shipping them to every shard would dwarf the
@@ -931,18 +939,20 @@ class ParallelStateExpander(StateExpander):
             position for position, function in enumerate(functions)
             if function.cacheable
         ]
-        if not remote or sum(weights) < MIN_REMOTE_RECORDS or not self._pool.available():
+        n_records = len(source_blocks) + len(target_blocks)
+        if not remote or n_records < MIN_REMOTE_RECORDS or not self._pool.available():
             return super()._refinement_bounds(blocking, attribute, functions)
         remote_functions = [functions[position] for position in remote]
+        block_sizes = Counter(chain(source_blocks, target_blocks))
+        weights = [block_sizes[block] for block in range(blocking.n_blocks)]
+        source_blob = source_blocks.tobytes()
+        target_blob = target_blocks.tobytes()
         payloads = [
-            (
-                attribute,
-                remote_functions,
-                *_pack_blocks(
-                    [(block.source_ids, block.target_ids) for block in chunk]
-                ),
+            (attribute, remote_functions, source_blob, target_blob,
+             chunk[0], chunk[-1] + 1)
+            for chunk in split_weighted(
+                range(blocking.n_blocks), weights, self._pool.workers
             )
-            for chunk in split_weighted(blocks, weights, self._pool.workers)
         ]
         try:
             handle = self._pool.start_shards(

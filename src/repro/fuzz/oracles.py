@@ -216,7 +216,7 @@ def engines_agree(pair: SnapshotPair, *, seed: int = 0,
 # ---------------------------------------------------------------------- #
 def _recount_bounds(blocking) -> Tuple[int, int]:
     target_bound = source_bound = 0
-    for block in blocking.blocks.values():
+    for block in blocking.views():
         delta = len(block.target_ids) - len(block.source_ids)
         if delta > 0:
             target_bound += delta

@@ -16,24 +16,27 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from ..dataio import Table
 from ..functions import ValueMapping
-from ..core.blocking import BlockingResult
+from ..core.blocking import Block
 
 AlignmentPairs = List[Tuple[int, int]]
 
 
-def sample_random_alignment(blocking: BlockingResult, rng: random.Random) -> AlignmentPairs:
-    """A random alignment of source and target row ids that respects *blocking*.
+def sample_random_alignment(blocks: Iterable[Block], rng: random.Random) -> AlignmentPairs:
+    """A random alignment of source and target row ids that respects a blocking.
 
-    In each block, ``min(#source, #target)`` pairs are formed by matching a
-    random permutation of the block's source records with a random permutation
-    of its target records.
+    *blocks* are the blocking's block views in block-id order — the search
+    passes its mixed blocks (``BlockingResult.mixed_blocks()``); any other
+    block is skipped without drawing.  In each mixed block,
+    ``min(#source, #target)`` pairs are formed by matching a random
+    permutation of the block's source records with a random permutation of
+    its target records.
     """
     pairs: AlignmentPairs = []
-    for block in blocking:
+    for block in blocks:
         if not block.is_mixed:
             continue
         source_ids = list(block.source_ids)

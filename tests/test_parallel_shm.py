@@ -35,7 +35,7 @@ def _tiny_instance(tag: str) -> ProblemInstance:
 
 def _noop_payload(instance: ProblemInstance) -> tuple:
     """A real (but empty) bounds-shard dispatch: no functions, no blocks."""
-    return (instance.attributes[0], [], *parallel_module._pack_blocks([]))
+    return (instance.attributes[0], [], b"", b"", 0, 0)
 
 
 @pytest.fixture
@@ -95,9 +95,7 @@ class TestSegmentLifecycle:
         # A fresh payload: repeating the first one would be answered from
         # the coordinator's shard-result cache without touching the dead
         # workers.
-        fresh_payload = (
-            instance.attributes[-1], [], *parallel_module._pack_blocks([])
-        )
+        fresh_payload = (instance.attributes[-1], [], b"", b"", 0, 0)
         assert fresh_payload != payload
         with pytest.raises(parallel_module.PoolUnavailable):
             pool.map_shards(
