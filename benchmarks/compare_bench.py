@@ -23,13 +23,6 @@ from the trend), and every freshly produced ``BENCH_*.json`` must have a
 committed baseline (a new benchmark is untracked until its artifact is
 committed — the ``NO-BASELINE`` row tells you to download and commit it,
 instead of the trend gate silently never applying).
-
-Conditionally gated metrics (the parallel-scaling speedup) only anchor a
-comparison when the *committed baseline* was itself measured on a
-gate-worthy host; otherwise the row reads ``PROMOTE-BASELINE`` — download
-the fresh artifact from a CI run and commit it to ``benchmarks/baselines/``
-to activate the trend gate.  The benchmark's own in-run threshold enforces
-the absolute floor either way.
 """
 
 from __future__ import annotations
@@ -42,17 +35,12 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 
 class Metric:
-    """One gated benchmark metric: where it lives and when it applies."""
+    """One gated benchmark metric: where it lives in its result file."""
 
-    def __init__(self, label: str, file: str, path: Tuple[str, ...],
-                 gate_key: Optional[str] = None):
+    def __init__(self, label: str, file: str, path: Tuple[str, ...]):
         self.label = label
         self.file = file
         self.path = path
-        #: Boolean payload key that must be truthy (in baseline and fresh)
-        #: for the gate to apply — e.g. the parallel-scaling benchmark marks
-        #: ``"gated": false`` on hosts with fewer cores than workers.
-        self.gate_key = gate_key
 
     def read(self, payload: Any) -> Optional[float]:
         for key in self.path:
@@ -64,16 +52,6 @@ class Metric:
         except (TypeError, ValueError):
             return None
 
-    def applies(self, payload: Any) -> bool:
-        """Whether the gate applies, judged on the FRESH payload only: a
-        baseline committed from a small host (``"gated": false``) must not
-        permanently disable the gate for properly sized CI runners.  The
-        absolute floor is enforced by the benchmark's own in-run gate; this
-        comparison adds the trend dimension on top."""
-        if self.gate_key is None:
-            return True
-        return bool(isinstance(payload, dict) and payload.get(self.gate_key))
-
 
 #: Every gated metric is a "higher is better" ratio; absolute runtimes are
 #: deliberately absent (they measure the runner, not the code).
@@ -83,12 +61,6 @@ GATED_METRICS: Sequence[Metric] = (
            ("cache_hit", "speedup")),
     Metric("shared-store dedup speedup", "BENCH_service_throughput.json",
            ("store_hit", "speedup")),
-    Metric("parallel speedup @ max workers", "BENCH_parallel.json",
-           ("speedup_at_max",), gate_key="gated"),
-    Metric("buffer-vs-pickle ship speedup", "BENCH_ship.json",
-           ("ship", "speedup")),
-    Metric("encoded-vs-string blocking speedup", "BENCH_blocking.json",
-           ("speedup",)),
     Metric("tracing efficiency (untraced/traced)", "BENCH_obs.json",
            ("efficiency",)),
     Metric("budgeted p95 headroom (budget/p95)", "BENCH_tiers.json",
@@ -130,19 +102,6 @@ def compare(baseline_dir: Path, fresh_dir: Path,
             exit_code = max(exit_code, 2)
         elif baseline is None or fresh is None:
             row["status"] = "n/a"
-        elif not metric.applies(fresh_payload):
-            row["delta"] = (fresh - baseline) / baseline if baseline else None
-            row["status"] = "ungated"
-        elif not metric.applies(baseline_payload):
-            # The fresh run is gate-worthy but the committed baseline came
-            # from a host that could not measure this metric (e.g. a 1-core
-            # box recording a sub-1x parallel "speedup").  Comparing against
-            # it would make the trend gate a no-op at best and misleading at
-            # worst; the benchmark's own in-run threshold still enforces the
-            # absolute floor, and this row flags that the fresh artifact
-            # should be promoted to the committed baseline.
-            row["delta"] = (fresh - baseline) / baseline if baseline else None
-            row["status"] = "PROMOTE-BASELINE"
         else:
             row["delta"] = (fresh - baseline) / baseline if baseline else None
             if fresh < baseline * (1.0 - max_regression):

@@ -11,21 +11,13 @@ where the trends bend).  Two environment variables control the scale:
     When set to ``1``, the Table-2 benchmark runs the full 17-dataset grid at
     the paper's record counts and with ten instances per cell.  Expect hours.
 
-Three command-line options control reproducibility and CI sizing:
+Two command-line options control reproducibility and CI sizing:
 
 ``--seed N``
     Seed for dataset generation and the search configuration (default 13),
     so the emitted ``BENCH_*.json`` files are reproducible run-to-run.
 ``--quick``
     Smoke mode for CI: smaller workloads and relaxed speedup gates.
-``--workers N``
-    Run every benchmark's searches under the sharded parallel engine with
-    ``N`` worker processes (sharing one pool across the whole session) —
-    no benchmark needs edits to be measured under ``engine="parallel"``.
-    Results are bit-identical to the default engine, so every benchmark's
-    correctness assertions still hold; only the timings change.  Runs that
-    pin an engine explicitly (the row-wise baselines, the parallel-scaling
-    benchmark's own worker sweep) are left untouched.
 
 Benchmarks that produce machine-readable results register a payload in the
 session-scoped ``bench_json`` fixture; each entry is written to
@@ -51,12 +43,6 @@ def pytest_addoption(parser: "pytest.Parser") -> None:
         "--quick", action="store_true", default=False,
         help="CI smoke mode: smaller workloads, relaxed perf gates",
     )
-    parser.addoption(
-        "--workers", action="store", type=int, default=0,
-        help="run the benchmarks under the sharded parallel engine with this "
-             "many worker processes (default: 0 = the engines the benchmarks "
-             "pick themselves)",
-    )
 
 
 @pytest.fixture(scope="session")
@@ -67,49 +53,6 @@ def bench_seed(request: "pytest.FixtureRequest") -> int:
 @pytest.fixture(scope="session")
 def quick_mode(request: "pytest.FixtureRequest") -> bool:
     return request.config.getoption("--quick")
-
-
-@pytest.fixture(scope="session")
-def bench_workers(request: "pytest.FixtureRequest") -> int:
-    return request.config.getoption("--workers")
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _parallel_engine_override(request: "pytest.FixtureRequest"):
-    """Reroute every benchmark search through the parallel engine.
-
-    With ``--workers N`` (N > 1) each :class:`repro.core.Affidavit` whose
-    configuration did not choose an engine stance (``parallel_workers == 0``
-    and the columnar cache on) is rewritten to ``parallel_workers=N`` on a
-    session-wide shared :class:`repro.core.ShardPool`.  Row-wise baselines
-    and explicit worker counts — e.g. the parallel-scaling benchmark's own
-    sweep, which pins ``parallel_workers=1`` for its sequential leg — keep
-    their engines, so comparative benchmarks stay meaningful.
-    """
-    workers = request.config.getoption("--workers")
-    if workers <= 1:
-        yield
-        return
-    from repro.core import ShardPool
-    from repro.core.affidavit import Affidavit
-
-    pool = ShardPool(workers)
-    original_init = Affidavit.__init__
-
-    def patched_init(self, config=None, *, shard_pool=None, **kwargs):
-        original_init(self, config, shard_pool=shard_pool, **kwargs)
-        config = self._config
-        if config.columnar_cache and config.parallel_workers == 0:
-            self._config = config.with_overrides(parallel_workers=workers)
-            if self._shard_pool is None:
-                self._shard_pool = pool
-
-    Affidavit.__init__ = patched_init
-    try:
-        yield
-    finally:
-        Affidavit.__init__ = original_init
-        pool.close()
 
 
 def bench_scale() -> float:

@@ -62,14 +62,14 @@ def step_2_campaign() -> None:
 
 
 def break_codes_engine():
-    """Corrupt the codes-blocking fast path only: the last dictionary code
+    """Corrupt the columnar engine's dictionary codes only: the last code
     of every column collapses onto the first, exactly the kind of silent
     encode bug the agreement oracle exists for."""
     original = ColumnCache.source_value_codes
 
     def corrupted(self, attribute):
         codes = list(original(self, attribute))
-        if self.codes_active and len(codes) >= 2 and codes[-1] != codes[0]:
+        if self.enabled and len(codes) >= 2 and codes[-1] != codes[0]:
             codes[-1] = codes[0]
         return codes
 

@@ -21,10 +21,11 @@ Every front door of the reproduction funnels work through this package:
   deadline and reports the answering tier in the outcome's provenance.
 
 The HTTP service, the batch runner and the CLI are thin adapters over these
-types.  Engine dispatch lives here too: ``engine="columnar"`` (default),
-``engine="rowwise"`` (the single-process baseline) and ``engine="parallel"``
-(the sharded multi-process engine of :mod:`repro.core.parallel`) all produce
-bit-identical explanations and differ only in how the hardware is used.
+types.  Engine dispatch lives here too: ``engine="columnar"`` (default, the
+production engine) and ``engine="rowwise"`` (the reference engine the
+equivalence tests and the fuzzer compare against) produce bit-identical
+explanations.  The retired ``engine="parallel"`` is still accepted on the
+wire and runs the columnar engine.
 """
 
 from .budget import (

@@ -34,7 +34,8 @@ from .request import ENGINES, SCHEMA_VERSION, ExplainRequest
 OUTCOME_SCHEMA_VERSION = "affidavit.outcome/v1"
 
 #: Engines a provenance may name: the search engines plus ``"baseline"``,
-#: the pseudo-engine of the non-searching baseline explainers.
+#: the pseudo-engine of the non-searching baseline explainers.  The retired
+#: ``"parallel"`` stays valid because stores written by earlier builds hold it.
 ENGINE_BASELINE = "baseline"
 PROVENANCE_ENGINES = ENGINES + (ENGINE_BASELINE,)
 
@@ -290,8 +291,8 @@ class ExplainOutcome:
             confidence = CONFIDENCE_PARTIAL if result.cancelled else CONFIDENCE_EXACT
         provenance = Provenance(
             api_version=SCHEMA_VERSION if request is None else request.schema_version,
-            # The engine that actually ran — a parallel request that fell
-            # back (workers <= 1, pool unavailable) reports the fallback.
+            # The engine that ran; a retired "parallel" request reports
+            # "columnar".
             engine=result.engine,
             base_config=None if request is None else request.config,
             registry=tuple(registry_names),

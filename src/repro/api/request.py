@@ -19,12 +19,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ..core import (
-    AffidavitConfig,
-    default_parallel_workers,
-    identity_configuration,
-    overlap_configuration,
-)
+from ..core import AffidavitConfig, identity_configuration, overlap_configuration
 from ..dataio import (
     Table,
     TableError,
@@ -56,17 +51,22 @@ _V2_FIELDS = ("budget", "strategy")
 
 ENGINE_COLUMNAR = "columnar"
 ENGINE_ROWWISE = "rowwise"
+#: Retired: the sharded multi-process engine.  Still accepted on the wire so
+#: stored and scripted requests keep working; it runs the columnar engine.
 ENGINE_PARALLEL = "parallel"
 ENGINES = (ENGINE_COLUMNAR, ENGINE_ROWWISE, ENGINE_PARALLEL)
+
+#: Retired overrides of the parallel engine and the string-keyed columnar
+#: path: still accepted, validated as before, then ignored.
+LEGACY_OVERRIDE_FIELDS = ("parallel_workers", "blocking_codes")
 
 #: Configuration fields clients may override per request.  Callbacks are
 #: deliberately absent — they are owned by the session / job layer.
 CONFIG_OVERRIDE_FIELDS = (
     "alpha", "beta", "queue_width", "theta", "confidence", "start_strategy",
     "max_block_size", "min_generation_successes", "max_expansions", "seed",
-    "columnar_cache", "column_cache_entries", "parallel_workers",
-    "blocking_codes", "blocking_cache_size",
-)
+    "columnar_cache", "column_cache_entries", "blocking_cache_size",
+) + LEGACY_OVERRIDE_FIELDS
 
 #: Named base configurations selectable by request (the paper's two setups).
 BASE_CONFIGS = {
@@ -126,11 +126,9 @@ class ExplainRequest:
     #: Restrict the meta-function pool to these registry names (``None``
     #: keeps the session's full registry).
     functions: Optional[Tuple[str, ...]] = None
-    #: Evaluation engine: ``"columnar"`` (memoizing, default), ``"rowwise"``
-    #: (the bit-identical fallback engine) or ``"parallel"`` (the sharded
-    #: multi-process engine, also bit-identical; worker count via the
-    #: ``parallel_workers`` override, defaulting to the machine's cores,
-    #: capped at four).
+    #: Evaluation engine: ``"columnar"`` (memoizing, default) or
+    #: ``"rowwise"`` (the bit-identical reference engine).  The retired
+    #: ``"parallel"`` is still accepted and runs ``"columnar"``.
     engine: str = ENGINE_COLUMNAR
     #: Latency budget of the strategy chain (v2).  ``None`` — the default —
     #: means an unbudgeted, plain full search, exactly as before v2.
@@ -432,10 +430,9 @@ def resolve_config(request: Optional[ExplainRequest]) -> AffidavitConfig:
     """The search configuration a request asks for: its named base with its
     overrides and engine choice applied on top.  An explicit
     ``columnar_cache`` override wins over the ``engine`` field, which keeps
-    pre-``engine`` clients working.  ``engine="parallel"`` turns into a
-    ``parallel_workers`` setting (the override when given, otherwise the
-    machine default); a ``parallel_workers`` override above 1 on any other
-    engine is rejected rather than silently ignored.
+    pre-``engine`` clients working.  ``engine="parallel"`` and the
+    :data:`LEGACY_OVERRIDE_FIELDS` are checked by :func:`_drop_legacy` and
+    then run as the columnar engine.
     """
     if request is None:
         return identity_configuration()
@@ -444,44 +441,61 @@ def resolve_config(request: Optional[ExplainRequest]) -> AffidavitConfig:
         raise RequestValidationError(
             f"unknown config {request.config!r} (use {sorted(BASE_CONFIGS)})"
         )
-    base = factory()
     overrides = dict(request.overrides)
-    if overrides.get("max_expansions") is not None and "max_expansions" in overrides:
+    _drop_legacy(overrides, request.engine)
+    max_expansions = overrides.get("max_expansions")
+    if isinstance(max_expansions, str):
+        # Integer strings ("7") are accepted; anything else is left to
+        # AffidavitConfig.validate(), which takes only true integers.
         try:
-            overrides["max_expansions"] = int(overrides["max_expansions"])
-        except (TypeError, ValueError) as error:
+            overrides["max_expansions"] = int(max_expansions)
+        except ValueError:
             raise RequestValidationError(
-                f"invalid config overrides: {error}"
+                f"invalid config overrides: max_expansions must be an integer, "
+                f"got {max_expansions!r}"
             ) from None
     if "columnar_cache" not in overrides:
         overrides["columnar_cache"] = request.engine != ENGINE_ROWWISE
-    if request.engine == ENGINE_PARALLEL:
-        workers = overrides.get("parallel_workers")
+    try:
+        return factory().with_overrides(**overrides)
+    except (TypeError, ValueError) as error:
+        raise RequestValidationError(f"invalid config overrides: {error}") from error
+
+
+def _drop_legacy(overrides: Dict[str, Any], engine: str) -> None:
+    """Validate the retired ``parallel_workers`` override exactly as builds
+    with the parallel engine did, then remove it and ``blocking_codes`` (which
+    was never validated).  Those builds rejected a non-integer or negative
+    worker count, a ``bool`` one with ``engine="parallel"``, a count above 1
+    with any other engine, and a count above 1 — or the default, several
+    workers on a multi-core host — combined with the row-wise engine."""
+    overrides.pop("blocking_codes", None)
+    if "parallel_workers" not in overrides and engine != ENGINE_PARALLEL:
+        return
+    workers = overrides.pop("parallel_workers", None)
+    is_int = isinstance(workers, int) and not isinstance(workers, bool)
+    if engine == ENGINE_PARALLEL:
         if workers is None:
-            overrides["parallel_workers"] = default_parallel_workers()
-        elif isinstance(workers, bool) or not isinstance(workers, int):
-            # Strict: int("2.9")-style coercion would silently truncate what
-            # every other path (AffidavitConfig.validate) rejects.
+            workers = 2
+        elif not is_int:
             raise RequestValidationError(
                 f"'parallel_workers' must be an integer, got {workers!r}"
             )
-    else:
-        requested_workers = overrides.get("parallel_workers")
-        if (isinstance(requested_workers, int)
-                and not isinstance(requested_workers, bool)
-                and requested_workers > 1):
-            raise RequestValidationError(
-                "the 'parallel_workers' override needs engine='parallel' "
-                f"(requested engine {request.engine!r})"
-            )
-        # Non-integers fall through to config.validate(), which rejects them
-        # with a proper message.
-    try:
-        config = base.with_overrides(**overrides)
-    except (TypeError, ValueError) as error:
-        raise RequestValidationError(f"invalid config overrides: {error}") from error
-    config.validate()
-    return config
+    elif is_int and workers > 1:
+        raise RequestValidationError(
+            "the 'parallel_workers' override needs engine='parallel' "
+            f"(requested engine {engine!r})"
+        )
+    if not isinstance(workers, int) or workers < 0:
+        raise RequestValidationError(
+            f"invalid config overrides: parallel_workers must be an integer "
+            f">= 0, got {workers!r}"
+        )
+    if workers > 1 and not overrides.get("columnar_cache", True):
+        raise RequestValidationError(
+            "invalid config overrides: parallel_workers > 1 requires the "
+            "columnar engine (columnar_cache=True)"
+        )
 
 
 def resolve_registry(request: Optional[ExplainRequest],

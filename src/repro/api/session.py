@@ -30,7 +30,6 @@ from ..core import (
     AffidavitConfig,
     ProblemInstance,
     SearchProgress,
-    ShardPool,
     engine_name,
 )
 from ..dataio import Table
@@ -98,42 +97,6 @@ def _chain_stop(first: Optional[StopCallback],
     return chained
 
 
-class _SharedPoolBox:
-    """Holder of the shard pool a family of session clones shares.
-
-    The fluent builder methods return new :class:`ExplainSession` objects;
-    the box travels with them by reference so that a pool started by one
-    clone (e.g. inside ``explain_iter``'s streaming clone) is reused — and
-    eventually closed — by all of them.  The pool is created lazily on the
-    first parallel run and recreated only when a later run asks for a
-    different worker count.
-    """
-
-    def __init__(self) -> None:
-        self._pool: Optional[ShardPool] = None
-        self._lock = threading.Lock()
-        self._closed = False
-
-    def acquire(self, workers: int) -> Optional[ShardPool]:
-        with self._lock:
-            if self._closed:
-                return None
-            pool = self._pool
-            if pool is not None and (not pool.available() or pool.workers != workers):
-                pool.close()
-                pool = None
-            if pool is None:
-                pool = self._pool = ShardPool(workers)
-            return pool
-
-    def close(self) -> None:
-        with self._lock:
-            pool, self._pool = self._pool, None
-            self._closed = True
-        if pool is not None:
-            pool.close()
-
-
 class ExplainSession:
     """Facade over the Affidavit engine for request-driven explanation runs.
 
@@ -156,12 +119,6 @@ class ExplainSession:
     snapshot_cache:
         Directory for the content-addressed binary snapshot cache (see
         :meth:`with_snapshot_cache`); ``None`` (the default) disables it.
-    shard_pool:
-        An externally owned :class:`~repro.core.ShardPool` for parallel
-        runs (the service's job manager shares one across jobs).  When
-        unset, the session lazily creates its own on the first parallel
-        run, reuses it across ``explain()`` calls, and shuts it down on
-        :meth:`close` — external pools are never closed by the session.
     tracer:
         A :class:`repro.obs.Tracer` recording per-phase spans of every run
         (see :meth:`with_tracer`).  ``None`` (the default) uses the no-op
@@ -174,12 +131,10 @@ class ExplainSession:
                  progress_callback: Optional[ProgressCallback] = None,
                  should_stop: Optional[StopCallback] = None,
                  data_root: Optional[Path] = None,
-                 shard_pool: Optional[ShardPool] = None,
                  tracer: Optional[Tracer] = None,
                  budget: Optional[ExplainBudget] = None,
                  strategy: Optional[Tuple[str, ...]] = None,
                  snapshot_cache: Optional[Path] = None,
-                 _pool_box: Optional[_SharedPoolBox] = None,
                  _tier_cache: Optional[TierCache] = None):
         self._config = config
         self._registry = registry
@@ -187,13 +142,11 @@ class ExplainSession:
         self._should_stop = should_stop
         self._data_root = data_root
         self._snapshot_cache = snapshot_cache
-        self._shard_pool = shard_pool
         self._tracer = tracer
         self._budget = budget
         self._strategy = strategy
-        self._pool_box = _pool_box if _pool_box is not None else _SharedPoolBox()
-        # Like the pool box: shared by reference across clones, so a cached
-        # exact answer survives with_*() chaining.
+        # Shared by reference across clones, so a cached exact answer
+        # survives with_*() chaining.
         self._tier_cache = _tier_cache if _tier_cache is not None else TierCache()
 
     # ------------------------------------------------------------------ #
@@ -206,12 +159,10 @@ class ExplainSession:
             "progress_callback": self._progress_callback,
             "should_stop": self._should_stop,
             "data_root": self._data_root,
-            "shard_pool": self._shard_pool,
             "tracer": self._tracer,
             "budget": self._budget,
             "strategy": self._strategy,
             "snapshot_cache": self._snapshot_cache,
-            "_pool_box": self._pool_box,
             "_tier_cache": self._tier_cache,
         }
         state.update(changes)
@@ -320,9 +271,8 @@ class ExplainSession:
     def with_tracer(self, tracer: Optional[Tracer]) -> "ExplainSession":
         """A session whose runs record per-phase spans into *tracer*.
 
-        Each run becomes one ``explain`` root span (snapshot loading, the
-        search, and — under the parallel engine — per-shard ship/compute
-        events) and the finished tree is attached to the outcome as
+        Each run becomes one ``explain`` root span (snapshot loading and
+        the search phases) and the finished tree is attached to the outcome as
         ``outcome.trace``.  Tracing never changes results: runs stay
         bit-identical with tracing on or off.  ``None`` reverts to the
         zero-overhead no-op tracer.
@@ -528,17 +478,6 @@ class ExplainSession:
             ),
             should_stop=_chain_stop(config.should_stop, self._should_stop),
         )
-        pool = None
-        if config.columnar_cache and config.parallel_workers > 1:
-            pool = self._shard_pool
-            if pool is None:
-                pool = self._pool_box.acquire(config.parallel_workers)
-            if pool is None or not pool.available():
-                # The session was closed (or the shared pool broke): run the
-                # bit-identical columnar engine instead of spinning up an
-                # ephemeral pool per call.
-                config = config.with_overrides(parallel_workers=0)
-                pool = None
         tracer = ensure_tracer(self._tracer)
         with tracer.span("explain") as root:
             if tracer.enabled and load_seconds > 0.0:
@@ -549,7 +488,7 @@ class ExplainSession:
                     start=max(0.0, tracer.now() - load_seconds),
                     duration=load_seconds,
                 ))
-            result = Affidavit(config, shard_pool=pool, tracer=tracer).explain(instance)
+            result = Affidavit(config, tracer=tracer).explain(instance)
         trace = root.snapshot() if tracer is not NULL_TRACER else None
         _EXPLAINS_TOTAL.inc(engine=result.engine)
         if result.cancelled:
@@ -570,15 +509,9 @@ class ExplainSession:
     # lifecycle
     # ------------------------------------------------------------------ #
     def close(self) -> None:
-        """Shut down the session-owned shard pool (if one was ever started).
-
-        The pool is shared by every clone this session spawned, so closing
-        any of them closes it for all; externally supplied pools are left
-        running (their owner closes them).  After ``close()`` the session
-        remains usable — parallel requests simply fall back to the columnar
-        engine.
-        """
-        self._pool_box.close()
+        """Release the session's resources.  A session holds none that need
+        releasing, so this is a no-op kept with the context-manager protocol
+        for callers written against builds that owned worker processes."""
 
     def __enter__(self) -> "ExplainSession":
         return self

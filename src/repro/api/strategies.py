@@ -147,8 +147,8 @@ class StrategyChain:
     ----------
     session:
         The :class:`~repro.api.session.ExplainSession` the search tiers run
-        through (its configuration, registry, observers and shard pool all
-        apply unchanged).
+        through (its configuration, registry and observers all apply
+        unchanged).
     budget:
         The wall-clock budget; ``None`` walks the tiers without a deadline.
     strategy:
@@ -345,7 +345,7 @@ class StrategyChain:
             else min(config.max_expansions, GREEDY_MAX_EXPANSIONS)
         )
         greedy_config = config.with_overrides(
-            beta=1, queue_width=1, max_expansions=cap, parallel_workers=0,
+            beta=1, queue_width=1, max_expansions=cap,
         )
         # Leave room for the full search when it still follows.
         if TIER_FULL in later and deadline.bounded:

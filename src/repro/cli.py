@@ -113,13 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="restrict the meta-function pool to these registry "
                               "names (comma-separated; default: the full pool)")
     explain.add_argument("--engine", choices=ENGINES, default=ENGINE_COLUMNAR,
-                         help="evaluation engine: columnar (memoizing, default), "
-                              "rowwise (the fallback baseline) or parallel "
-                              "(sharded across worker processes; bit-identical "
-                              "results)")
-    explain.add_argument("--workers", type=int, default=None, metavar="N",
-                         help="worker processes for --engine parallel "
-                              "(default: the machine's cores, capped at 4)")
+                         help="evaluation engine: columnar (memoizing, default) "
+                              "or rowwise (the bit-identical reference); "
+                              "parallel is a retired alias of columnar")
     explain.add_argument("--budget-ms", type=float, default=None, metavar="MS",
                          help="wall-clock latency budget in milliseconds; the "
                               "run walks the tier chain (cache, greedy, full "
@@ -167,10 +163,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="TCP port (0 picks an ephemeral port)")
     serve.add_argument("--workers", type=int, default=2,
                        help="concurrent explain workers")
-    serve.add_argument("--search-workers", type=int, default=None, metavar="N",
-                       help="size of the shared process pool serving "
-                            "engine=parallel jobs (0 disables it; default: "
-                            "the machine's cores, capped at 4)")
     serve.add_argument("--cache-entries", type=int, default=128,
                        help="capacity of the idempotency result cache")
     serve.add_argument("--cache-ttl", type=float, default=None,
@@ -260,8 +252,6 @@ def run_explain(args: argparse.Namespace) -> int:
         if not path.exists():
             raise FileNotFoundError(path)
     overrides = {"seed": args.seed}
-    if args.workers is not None:
-        overrides["parallel_workers"] = args.workers
     strategy = None
     if args.strategy is not None:
         strategy = tuple(
@@ -361,7 +351,6 @@ def run_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.queue_depth,
         quota_rate=args.quota,
         quota_burst=args.quota_burst,
-        search_workers=args.search_workers,
         data_root=args.data_root,
         log_level=args.log_level,
         max_body_bytes=(args.max_body_bytes if args.max_body_bytes is not None

@@ -57,12 +57,6 @@ from .initialization import (
 )
 from .extension import Extension, StateExpander
 from .affidavit import Affidavit, AffidavitResult, SearchProgress, explain_snapshots
-from .parallel import (
-    ParallelStateExpander,
-    PoolUnavailable,
-    ShardPool,
-    default_parallel_workers,
-)
 
 __all__ = [
     "AffidavitConfig",
@@ -110,10 +104,6 @@ __all__ = [
     "overlap_start_states",
     "Extension",
     "StateExpander",
-    "ParallelStateExpander",
-    "ShardPool",
-    "PoolUnavailable",
-    "default_parallel_workers",
     "engine_name",
     "Affidavit",
     "AffidavitResult",

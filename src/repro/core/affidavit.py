@@ -11,16 +11,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Set
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .parallel import ShardPool
+from typing import Dict, Optional, Set
 
 from ..dataio import Table
 from ..functions import FunctionRegistry
 from ..obs import Tracer, ensure_tracer
 from .colcache import ColumnCacheStats
-from .config import AffidavitConfig, identity_configuration
+from .config import AffidavitConfig, engine_name, identity_configuration
 from .cost import explanation_cost, trivial_explanation_cost
 from .evaluator import StateEvaluator
 from .explanation import Explanation, explanation_from_functions, trivial_explanation
@@ -74,9 +71,7 @@ class AffidavitResult:
     #: Final column-cache counters of the run (``None`` for results built
     #: before the columnar engine existed, e.g. unpickled ones).
     cache_stats: Optional[ColumnCacheStats] = None
-    #: The evaluation engine that actually ran: ``"columnar"``, ``"rowwise"``
-    #: or ``"parallel"``.  A parallel request that fell back (workers <= 1,
-    #: or the pool could not start) reports the engine it fell back to.
+    #: The evaluation engine that ran: ``"columnar"`` or ``"rowwise"``.
     engine: str = "columnar"
     #: Final blocking-LRU counters (``hits`` / ``misses`` / ``entries`` /
     #: ``max_entries``) of the run's evaluator; ``None`` on results built by
@@ -129,15 +124,8 @@ class Affidavit:
     """
 
     def __init__(self, config: Optional[AffidavitConfig] = None, *,
-                 shard_pool: Optional["ShardPool"] = None,
                  tracer: Optional[Tracer] = None):
         self._config = config if config is not None else identity_configuration()
-        #: External shard pool for the parallel engine.  When the config asks
-        #: for ``parallel_workers > 1`` and no pool is supplied, an ephemeral
-        #: one is created per :meth:`explain` call and torn down afterwards;
-        #: long-lived callers (sessions, the service) pass their own so the
-        #: worker processes survive across searches.
-        self._shard_pool = shard_pool
         #: Span sink for per-phase timings; defaults to the no-op tracer so
         #: the hot path pays nothing unless somebody is listening.  Tracing
         #: never influences the search trajectory — results stay bit-identical
@@ -161,56 +149,20 @@ class Affidavit:
             alpha=config.alpha,
             columnar=config.columnar_cache,
             column_cache_entries=config.column_cache_entries,
-            blocking_codes=config.blocking_codes,
             cache_size=config.blocking_cache_size,
         )
         rng = random.Random(config.seed)
-        expander, engine, owned_pool = self._build_expander(
-            instance, config, evaluator, rng
-        )
-        try:
-            with self._tracer.span("search") as span:
-                result = self._search(
-                    instance, config, evaluator, expander, engine, started
-                )
-                span.add("expansions", result.expansions)
-                span.add("generated_states", result.generated_states)
-            return result
-        finally:
-            if owned_pool is not None:
-                owned_pool.close()
-
-    def _build_expander(self, instance: ProblemInstance, config: AffidavitConfig,
-                        evaluator: StateEvaluator, rng: random.Random):
-        """The expander, the engine label, and an ephemeral pool to close.
-
-        The parallel engine degrades gracefully: ``parallel_workers <= 1``,
-        a closed/broken external pool, or the row-wise engine all yield the
-        plain sequential expander (results are bit-identical either way).
-        """
-        if config.columnar_cache and config.parallel_workers > 1:
-            from .parallel import ParallelStateExpander, ShardPool
-
-            pool = self._shard_pool
-            owned_pool = None
-            if pool is None:
-                pool = owned_pool = ShardPool(config.parallel_workers)
-            if pool.available():
-                expander = ParallelStateExpander(
-                    instance, config, evaluator, rng, pool=pool,
-                    tracer=self._tracer,
-                )
-                return expander, "parallel", owned_pool
-            if owned_pool is not None:
-                owned_pool.close()
-        engine = "columnar" if config.columnar_cache else "rowwise"
         expander = StateExpander(instance, config, evaluator, rng,
                                  tracer=self._tracer)
-        return expander, engine, None
+        with self._tracer.span("search") as span:
+            result = self._search(instance, config, evaluator, expander, started)
+            span.add("expansions", result.expansions)
+            span.add("generated_states", result.generated_states)
+        return result
 
     def _search(self, instance: ProblemInstance, config: AffidavitConfig,
                 evaluator: StateEvaluator, expander: StateExpander,
-                engine: str, started: float) -> AffidavitResult:
+                started: float) -> AffidavitResult:
         queue = BoundedLevelQueue(config.queue_width)
 
         generated = 0
@@ -306,9 +258,6 @@ class Affidavit:
             )
 
         runtime = time.perf_counter() - started
-        # The parallel expander downgrades its own label when the pool never
-        # managed to run anything (e.g. the host forbids process spawning).
-        engine = getattr(expander, "engine_used", engine)
         return AffidavitResult(
             explanation=explanation,
             cost=final_cost,
@@ -320,7 +269,7 @@ class Affidavit:
             config=config,
             cancelled=cancelled,
             cache_stats=evaluator.cache_stats(),
-            engine=engine,
+            engine=engine_name(config),
             blocking_cache=evaluator.blocking_cache_info(),
         )
 

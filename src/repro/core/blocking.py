@@ -20,7 +20,8 @@ attributes; :meth:`BlockingResult.refine` keys it by the pair ``(parent block
 id, new component)``, so refining never re-derives the components of
 already-decided attributes.  A component is an integer code from the column
 cache's dictionary encoding (:class:`~repro.core.colcache.AttributeCodec`)
-under the encoded engine and a transformed cell value otherwise; codecs are
+under the columnar engine and a transformed cell value under the row-wise
+reference engine; codecs are
 per-attribute bijections, so both group identically and share one code path:
 ``dict.fromkeys`` numbers the keys and ``Counter`` counts them, both in C.
 With :math:`m = \\sum_k \\min(s_k, t_k)` over the per-key source and target
@@ -39,7 +40,7 @@ block ids follow one fixed order:
 
 Source cells on which an assigned function is not applicable receive a
 sentinel component (the reserved
-:data:`~repro.core.colcache.NOT_APPLICABLE_CODE` under the encoded engine)
+:data:`~repro.core.colcache.NOT_APPLICABLE_CODE` under the columnar engine)
 that never matches a target value, so such records are guaranteed to stay
 unaligned under this state.
 
@@ -205,8 +206,7 @@ def count_bounds(source_keys: Iterable[Hashable],
     target row adds to ``c_t`` and every other source row to ``c_s``.
 
     Used for materialised blockings (block ids as keys), for bounds-only
-    refinement (``(block id, component)`` keys) and, over one contiguous
-    range of block ids, by the parallel engine's bounds shards.
+    refinement (``(block id, component)`` keys).
     """
     source_counts = Counter(source_keys)
     target_counts = Counter(target_keys)
@@ -275,13 +275,14 @@ def blocking_components(instance: ProblemInstance, attribute: str,
     """The per-record key components one attribute contributes to blocking.
 
     Returns ``(source components, target components)``: integer code arrays
-    served by the cache's codec under the encoded engine, the transformed
-    source column and the raw target column otherwise.  Fresh builds,
+    served by an enabled cache's codec under the columnar engine, the
+    transformed source column and the raw target column under the row-wise
+    engine (disabled cache, or none).  Fresh builds,
     :func:`refine_blocking` and :func:`refine_blocking_bounds` all consume
     exactly this pair.
     """
     target_column = instance.target.column_view(attribute)
-    if cache is not None and cache.codes_active:
+    if cache is not None and cache.enabled:
         return (
             cache.transformed_codes(attribute, function),
             cache.encoded_column(attribute, target_column),

@@ -47,7 +47,7 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..dataio import Table
 from ..dataio.table import Column
@@ -175,29 +175,23 @@ class ColumnCache:
     enabled:
         When ``False`` the cache degrades to the row-wise fallback: every
         lookup recomputes with per-cell ``apply`` calls, exactly like the
-        pre-columnar engine.  Used as the benchmark baseline and by the
-        equivalence tests.
-    codes:
-        When ``True`` (and the cache is enabled) the dictionary-encoding
-        layer is active: blocking and ranking consumers may request integer
-        code arrays (:meth:`transformed_codes`, :meth:`encoded_column`,
-        :meth:`code_map_for`).  ``False`` keeps the plain
-        string-keyed columnar engine — the baseline of the blocking-codes
-        benchmark and of the encoded-vs-string equivalence tests.
+        pre-columnar engine of the row-wise reference.  An enabled cache
+        always dictionary-encodes: blocking and ranking consumers work on
+        integer code arrays (:meth:`transformed_codes`,
+        :meth:`encoded_column`, :meth:`code_map_for`).
     """
 
-    __slots__ = ("_table", "_max_entries", "_enabled", "_codes_enabled",
+    __slots__ = ("_table", "_max_entries", "_enabled",
                  "_maps", "_codecs", "_source_codes", "_encoded_columns",
                  "_hits", "_misses", "_evictions", "_applications")
 
     def __init__(self, table: Table, *, max_entries: int = 512,
-                 enabled: bool = True, codes: bool = True):
+                 enabled: bool = True):
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self._table = table
         self._max_entries = max_entries
         self._enabled = enabled
-        self._codes_enabled = codes
         self._maps: "OrderedDict[Tuple[AttributeFunction, str], _CacheEntry]" = OrderedDict()
         self._codecs: Dict[str, AttributeCodec] = {}
         #: per attribute: (encoded source column, distinct values in
@@ -222,11 +216,6 @@ class ColumnCache:
     @property
     def enabled(self) -> bool:
         return self._enabled
-
-    @property
-    def codes_active(self) -> bool:
-        """True when consumers may (and should) work on integer code arrays."""
-        return self._enabled and self._codes_enabled
 
     @property
     def max_entries(self) -> int:
@@ -398,13 +387,8 @@ class ColumnCache:
         if function.is_identity:
             self._hits += 1
             return self.source_value_codes(attribute)
-        if not self.codes_active:
-            # Degraded path (disabled cache): transform as strings, encode
-            # per cell.  Kept for robustness; the engines gate on
-            # ``codes_active`` and never reach it.
-            column = self.transformed(attribute, function)
-            encode = self.codec(attribute).encode
-            return [encode(value) for value in column]
+        if not self._enabled:
+            raise ValueError("code arrays require the columnar engine")
         entry = self._entry(attribute, function)
         codes = entry.codes
         if codes is None:
@@ -429,26 +413,9 @@ class ColumnCache:
         if function.is_identity:
             self._hits += 1
             return None
-        if not self.codes_active:
-            raise ValueError("code maps require the encoded columnar engine")
-        return self._code_map(attribute, function, self._entry(attribute, function))
-
-    def value_map_for(self, attribute: str, function: AttributeFunction,
-                      values: Sequence[str]) -> Optional[Mapping[str, str]]:
-        """:meth:`code_map_for` in string space: the value map of *function*,
-        extended to cover *values* (read-only).
-
-        Inapplicable values map to :data:`NOT_APPLICABLE`, which no snapshot
-        cell may hold.  The identity returns ``None`` (counted as a hit).
-        """
-        if function.is_identity:
-            self._hits += 1
-            return None
         if not self._enabled:
-            raise ValueError("value maps require the columnar engine")
-        mapping = self._entry(attribute, function).mapping
-        self._extend_map(mapping, function, values)
-        return mapping
+            raise ValueError("code maps require the columnar engine")
+        return self._code_map(attribute, function, self._entry(attribute, function))
 
     # ------------------------------------------------------------------ #
     # maintenance and statistics

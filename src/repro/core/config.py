@@ -38,6 +38,13 @@ START_OVERLAP = "overlap"
 
 _VALID_START_STRATEGIES = (START_EMPTY, START_IDENTITY, START_OVERLAP)
 
+#: Integer parameters that must be ``>= 1``; ``bool`` is rejected although it
+#: subclasses ``int``.  ``max_expansions`` may also be ``None``.
+_POSITIVE_INT_FIELDS = (
+    "beta", "queue_width", "max_block_size", "min_generation_successes",
+    "max_expansions", "column_cache_entries", "blocking_cache_size",
+)
+
 
 @dataclass(frozen=True)
 class AffidavitConfig:
@@ -67,24 +74,10 @@ class AffidavitConfig:
     #: ``(function, attribute)`` value maps (each at most one entry per
     #: distinct value of the column).
     column_cache_entries: int = 4096
-    #: Dictionary-encode blocking keys: every ``(function, attribute)``
-    #: transform also yields an integer code array, and blocking, refinement
-    #: and candidate ranking run on dense int codes instead of strings.
-    #: ``False`` keeps the string-keyed columnar engine — the baseline of the
-    #: blocking-codes benchmark and of the encoded-vs-string equivalence
-    #: tests (results are bit-identical either way).  Ignored by the
-    #: row-wise engine, which never encodes.
-    blocking_codes: bool = True
     #: LRU bound of the evaluator's state-keyed blocking cache: how many
     #: recently used blockings are kept so sibling extensions and queue
     #: re-polls of a state reuse the parent blocking instead of rebuilding.
     blocking_cache_size: int = 64
-    #: Worker-process count of the sharded parallel engine
-    #: (:mod:`repro.core.parallel`).  ``0`` and ``1`` run the search in
-    #: process — the columnar engine; values above ``1`` shard the candidate
-    #: evaluation across that many worker processes, with bit-identical
-    #: results.  Requires ``columnar_cache=True``.
-    parallel_workers: int = 0
     #: Called once per state expansion with a
     #: :class:`~repro.core.affidavit.SearchProgress` snapshot.  Excluded from
     #: equality/hashing so configs that differ only in observers compare equal
@@ -109,10 +102,6 @@ class AffidavitConfig:
         assembled from wire-format overrides."""
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.beta < 1:
-            raise ValueError(f"beta must be >= 1, got {self.beta}")
-        if self.queue_width < 1:
-            raise ValueError(f"queue_width must be >= 1, got {self.queue_width}")
         if not 0.0 < self.theta <= 1.0:
             raise ValueError(f"theta must be in (0, 1], got {self.theta}")
         if not 0.0 < self.confidence < 1.0:
@@ -122,33 +111,17 @@ class AffidavitConfig:
                 f"start_strategy must be one of {_VALID_START_STRATEGIES}, "
                 f"got {self.start_strategy!r}"
             )
-        if self.max_block_size < 1:
-            raise ValueError(f"max_block_size must be >= 1, got {self.max_block_size}")
-        if self.min_generation_successes < 1:
-            raise ValueError(
-                f"min_generation_successes must be >= 1, got {self.min_generation_successes}"
-            )
-        if self.max_expansions is not None and self.max_expansions < 1:
-            raise ValueError(f"max_expansions must be >= 1 or None, got {self.max_expansions}")
+        for name in _POSITIVE_INT_FIELDS:
+            value = getattr(self, name)
+            if name == "max_expansions" and value is None:
+                continue
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                suffix = " or None" if name == "max_expansions" else ""
+                raise ValueError(f"{name} must be >= 1{suffix}, got {value}")
         if not isinstance(self.seed, int):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
-        if self.column_cache_entries < 1:
-            raise ValueError(
-                f"column_cache_entries must be >= 1, got {self.column_cache_entries}"
-            )
-        if self.blocking_cache_size < 1:
-            raise ValueError(
-                f"blocking_cache_size must be >= 1, got {self.blocking_cache_size}"
-            )
-        if not isinstance(self.parallel_workers, int) or self.parallel_workers < 0:
-            raise ValueError(
-                f"parallel_workers must be an integer >= 0, got {self.parallel_workers!r}"
-            )
-        if self.parallel_workers > 1 and not self.columnar_cache:
-            raise ValueError(
-                "parallel_workers > 1 requires the columnar engine "
-                "(columnar_cache=True); the row-wise fallback is single-process"
-            )
 
     def with_overrides(self, **changes) -> "AffidavitConfig":
         """A copy with selected fields replaced."""
@@ -157,16 +130,8 @@ class AffidavitConfig:
 
 def engine_name(config: AffidavitConfig) -> str:
     """The evaluation engine a configuration selects: ``"rowwise"`` when the
-    columnar cache is off, ``"parallel"`` when a shard pool is requested,
-    ``"columnar"`` otherwise.  This is the *requested* engine; the search
-    records the engine that actually ran in
-    :attr:`~repro.core.affidavit.AffidavitResult.engine` (the parallel
-    request falls back to columnar when no pool can start)."""
-    if not config.columnar_cache:
-        return "rowwise"
-    if config.parallel_workers > 1:
-        return "parallel"
-    return "columnar"
+    columnar cache is off, ``"columnar"`` otherwise."""
+    return "columnar" if config.columnar_cache else "rowwise"
 
 
 def identity_configuration(**overrides) -> AffidavitConfig:

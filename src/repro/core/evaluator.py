@@ -32,9 +32,8 @@ class StateEvaluator:
     blocking it builds transforms source columns through the cache, so the
     per-attribute application work is shared across all states of one search.
     ``columnar=False`` switches to the row-wise fallback engine (identical
-    results, no memoization) — the baseline of the evaluator benchmark and of
-    the equivalence tests; ``blocking_codes=False`` keeps the columnar engine
-    on string blocking keys (the baseline of the blocking-codes benchmark).
+    results, no memoization, string blocking keys) — the reference engine of
+    the equivalence tests and the baseline of the evaluator benchmark.
 
     It also owns the search's *state-keyed blocking LRU*: sibling extensions
     of one parent and re-polls of a queued state ask for the same blocking
@@ -47,7 +46,7 @@ class StateEvaluator:
 
     def __init__(self, instance: ProblemInstance, *, alpha: float = 0.5,
                  cache_size: int = 64, columnar: bool = True,
-                 column_cache_entries: int = 4096, blocking_codes: bool = True):
+                 column_cache_entries: int = 4096):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self._instance = instance
@@ -58,7 +57,6 @@ class StateEvaluator:
         self._blocking_misses = 0
         self._column_cache = ColumnCache(
             instance.source, max_entries=column_cache_entries, enabled=columnar,
-            codes=blocking_codes,
         )
 
     @property

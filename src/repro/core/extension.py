@@ -89,8 +89,7 @@ def induce_generation_counts(
     *block_source_ids* gives a block's source row ids.  The example's source
     values are the block's distinct source values in sorted order, exactly
     as the row-wise :class:`CandidatePool` path sees them, and the returned
-    counts iterate in first-generation order.  Shared by the sequential
-    expander and the sharded engine's induction task.
+    counts iterate in first-generation order.
     """
     source_column = instance.source.column_view(attribute)
     target_column = instance.target.column_view(attribute)
@@ -142,10 +141,10 @@ class PostingsIndex:
     Section 4.4.3 scores a candidate by how much of each sampled block's
     target histogram its transformed source histogram covers.  Instead of
     one histogram pass per candidate and block, the index is built once per
-    call: every distinct source key (a code, or a value in string space)
-    and every target key gets its postings ``{block position: count}``.  A
+    call: every distinct source key (a dictionary code in the search) and
+    every target key gets its postings ``{block position: count}``.  A
     candidate is then scored from its *image* of the distinct source keys,
-    gathered in C from its code or value map:
+    gathered in C from its code map:
 
     * an image that misses every target key scores 0 after one
       ``isdisjoint`` check;
@@ -218,28 +217,17 @@ def candidate_overlaps(cache: ColumnCache, target: Table, attribute: str,
                        blocks: Sequence[BlockIds]) -> List[int]:
     """Sampled-block overlap of every function, through one postings index.
 
-    With dictionary encoding active the index is keyed by the attribute's
-    codes and each function's image is gathered from its code map;
-    otherwise it is keyed by cell values and gathered from the value map.
-    One map lookup per function either way.  Shared by the sequential
-    expander and the sharded engine's ranking task; overlaps are additive
-    over blocks, so shard sums equal the sequential result.
+    The index is keyed by the attribute's dictionary codes and each
+    function's image is gathered from its code map: one map lookup per
+    function.
     """
-    if cache.codes_active:
-        index = PostingsIndex(
-            cache.source_value_codes(attribute),
-            cache.encoded_column(attribute, target.column_view(attribute)),
-            blocks,
-        )
-        return [
-            index.overlap(cache.code_map_for(attribute, function))
-            for function in functions
-        ]
     index = PostingsIndex(
-        cache.table.column_view(attribute), target.column_view(attribute), blocks
+        cache.source_value_codes(attribute),
+        cache.encoded_column(attribute, target.column_view(attribute)),
+        blocks,
     )
     return [
-        index.overlap(cache.value_map_for(attribute, function, index.keys))
+        index.overlap(cache.code_map_for(attribute, function))
         for function in functions
     ]
 
@@ -381,9 +369,17 @@ class StateExpander:
             )
         functions: List[AttributeFunction] = [greedy_map] + candidates
 
+        cache = self._evaluator.column_cache
         with self._tracer.span("refine_bounds") as span:
             span.add("functions", len(functions))
-            bounds, refined_blockings = self._refinement_bounds(blocking, attribute, functions)
+            # Bounds only: almost every candidate loses to the greedy
+            # benchmark, so refined blockings are built for the winners only.
+            bounds = [
+                refine_blocking_bounds(
+                    self._instance, blocking, attribute, function, cache
+                )
+                for function in functions
+            ]
         base_length = state.function_description_length
         costs = self._evaluator.batch_costs_from_bounds(
             [base_length + function.description_length for function in functions],
@@ -391,50 +387,21 @@ class StateExpander:
         )
 
         greedy_cost = costs[0]
-        cache = self._evaluator.column_cache
         extensions: List[Extension] = []
         for position in range(1, len(functions)):
             cost = costs[position]
             if cost < greedy_cost:
                 function = functions[position]
-                if refined_blockings is not None:
-                    refined = refined_blockings[position]
-                else:
-                    # The bounds came without materialised blockings (both
-                    # the bounds-only path and the sharded engine ship back
-                    # integers only); rebuild the winner's refined blocking
-                    # locally — winners are rare.
-                    with self._tracer.span("blocking_refine"):
-                        refined = refine_blocking(
-                            self._instance, blocking, attribute, function, cache
-                        )
+                with self._tracer.span("blocking_refine"):
+                    refined = refine_blocking(
+                        self._instance, blocking, attribute, function, cache
+                    )
                 successor = state.extend(attribute, function)
                 self._evaluator.remember_blocking(successor, refined)
                 extensions.append(
                     Extension(state=successor, cost=cost, blocking=refined, attribute=attribute)
                 )
         return extensions
-
-    def _refinement_bounds(
-            self, blocking: BlockingResult, attribute: str,
-            functions: Sequence[AttributeFunction],
-    ) -> Tuple[List[Tuple[int, int]], Optional[List[BlockingResult]]]:
-        """Unaligned bounds of *blocking* refined by each candidate function.
-
-        Bounds only: almost every candidate loses to the greedy benchmark, so
-        no refined blocking is materialised here — ``None`` is returned in
-        place of the blockings and the few winners are rebuilt on demand.
-        The sharded engine overrides this to compute the same integer bounds
-        remotely.
-        """
-        cache = self._evaluator.column_cache
-        bounds = [
-            refine_blocking_bounds(
-                self._instance, blocking, attribute, function, cache
-            )
-            for function in functions
-        ]
-        return bounds, None
 
     # ------------------------------------------------------------------ #
     # candidate induction and ranking (Section 4.4)
@@ -495,10 +462,7 @@ class StateExpander:
         :meth:`CandidatePool.filtered` would produce — which downstream
         ranking relies on for stable tie-breaking.  The columnar engine
         counts through :func:`induce_generation_counts`, the row-wise engine
-        through a plain :class:`CandidatePool`.  The sharded engine overrides
-        this to run :func:`induce_generation_counts` on example shards
-        remotely and merge the per-shard counts in shard order (which
-        preserves exactly this order).
+        through a plain :class:`CandidatePool`.
         """
         should_stop = self._config.should_stop
 
@@ -542,7 +506,7 @@ class StateExpander:
         """Rank candidates by sampled histogram overlap minus description length.
 
         The columnar engine indexes the sampled blocks once and scores each
-        candidate from its memoized code (or value) map — see
+        candidate from its memoized code map — see
         :class:`PostingsIndex`.  The row-wise fallback applies every
         candidate cell by cell per block, as the pre-columnar engine did.
         Both paths produce identical overlap scores and ranking.
@@ -575,8 +539,7 @@ class StateExpander:
             mixed_blocks: Sequence[Block], block_indices: Sequence[int],
             attribute: str) -> List[Tuple[float, int, AttributeFunction]]:
         """Overlap scores through a :class:`PostingsIndex` of the sampled
-        blocks and each candidate's memoized code map (value map without
-        dictionary encoding).  Scores equal :meth:`_score_candidates_rowwise`.
+        blocks and each candidate's memoized code map.  Scores equal :meth:`_score_candidates_rowwise`.
         """
         blocks = [
             (mixed_blocks[i].source_ids, mixed_blocks[i].target_ids)

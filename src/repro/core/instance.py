@@ -1,20 +1,18 @@
-"""Problem instances (Definition 3.1): two snapshots plus a function pool."""
+"""Problem instances (Definition 3.1): two snapshots plus a function pool.
+
+An instance persists its two snapshots as one ``AFBUF01`` binary file
+(:meth:`ProblemInstance.save` / :meth:`ProblemInstance.load`); the function
+pool is code, not data, and is never serialised.
+"""
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
 from ..dataio import Schema, Table, TableError
-from ..dataio.buffers import (
-    BufferFormatError,
-    open_snapshot_pair,
-    pack_tables,
-    unpack_tables,
-    write_snapshot_pair,
-)
+from ..dataio.buffers import open_snapshot_pair, write_snapshot_pair
 from ..functions import FunctionRegistry, default_registry
 
 
@@ -127,7 +125,7 @@ class ProblemInstance:
         )
 
     # ------------------------------------------------------------------ #
-    # binary snapshot cache and shipping
+    # binary snapshot cache
     # ------------------------------------------------------------------ #
     def save(self, path: Union[str, Path]) -> Path:
         """Persist both snapshots as one mmap-able binary cache file.
@@ -156,33 +154,3 @@ class ProblemInstance:
             registry=registry if registry is not None else default_registry(),
             name=name if name is not None else (stored_name or "instance"),
         )
-
-    def ship_bytes(self) -> bytes:
-        """The instance as one flat binary blob for worker shipping.
-
-        Tables travel as raw column buffers (codes + value blobs, no
-        per-cell pickling); the registry — a handful of function objects —
-        rides along as a small pickled extra section.  The parallel engine
-        places this blob in ``multiprocessing.shared_memory`` so shipping an
-        instance to a worker costs one memcpy instead of re-serialising
-        every cell.
-        """
-        extra = pickle.dumps(self.registry, protocol=pickle.HIGHEST_PROTOCOL)
-        return pack_tables([self.source, self.target], extra=extra, name=self.name)
-
-    @classmethod
-    def from_ship_bytes(cls, blob: Union[bytes, memoryview]) -> "ProblemInstance":
-        """Rebuild a :meth:`ship_bytes` instance (zero-copy, lazy columns)."""
-        tables, extra, name = unpack_tables(blob)
-        if len(tables) != 2:
-            raise BufferFormatError(
-                f"instance blob holds {len(tables)} tables, expected 2"
-            )
-        try:
-            registry = pickle.loads(extra)
-        except Exception as error:
-            raise BufferFormatError(
-                f"cannot deserialise the shipped registry: {error}"
-            ) from error
-        return cls(source=tables[0], target=tables[1], registry=registry,
-                   name=name or "instance")

@@ -16,14 +16,12 @@ packs that encoding into flat binary buffers:
   only materialised when positional access demands them — a column no
   consumer indexes is never decoded;
 * a length-prefixed container format (:func:`pack_tables` /
-  :func:`unpack_tables`) that serialises whole tables as raw buffer bytes —
-  the parallel engine ships problem instances through
-  ``multiprocessing.shared_memory`` in this format, and
+  :func:`unpack_tables`) that serialises whole tables as raw buffer bytes;
   :func:`write_snapshot_pair` / :func:`open_snapshot_pair` persist it as an
   on-disk snapshot cache that :mod:`mmap` maps back in without copying.
 
 Unpacking is *zero-copy*: the returned tables hold ``memoryview`` slices of
-the caller's buffer (an mmap, a shared-memory copy, a bytes object), and the
+the caller's buffer (an mmap or a bytes object), and the
 views keep the underlying buffer alive.  Corrupt input of any shape must
 raise :exc:`BufferFormatError`, never an arbitrary exception — the fuzz
 harness's ``buffer_roundtrip`` oracle enforces exactly that.

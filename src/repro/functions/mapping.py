@@ -60,8 +60,7 @@ class ValueMapping(AttributeFunction):
 
     def __reduce__(self):
         # MappingProxyType (and __slots__) defeat the default pickle protocol;
-        # rebuilding through __init__ is required by the sharded engine, which
-        # ships greedy mappings to its worker processes.
+        # rebuilding through __init__ keeps greedy mappings picklable.
         return (type(self), (dict(self._entries),))
 
     @property

@@ -16,10 +16,10 @@ Two families:
   truncation — to exercise the request parser and the HTTP service's
   malformed-body handling;
 * **buffer mutators** corrupt packed binary buffer containers
-  (``affidavit.buffer-pack/v1`` bytes, the snapshot-cache / shared-memory
-  wire format) — bit flips, truncation, header-length lies, JSON header
-  garbage, payload zeroing — to drive the ``buffer_roundtrip`` oracle's
-  contract that corrupt bytes always surface as ``BufferFormatError``.
+  (``affidavit.buffer-pack/v1`` bytes, the snapshot-cache format) — bit
+  flips, truncation, header-length lies, JSON header garbage, payload
+  zeroing — to drive the ``buffer_roundtrip`` oracle's contract that
+  corrupt bytes always surface as ``BufferFormatError``.
 
 Every mutator takes ``(input, rng)`` and returns the mutated input or
 ``None`` when it does not apply (the runner then retries with another); all

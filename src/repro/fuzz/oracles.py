@@ -6,15 +6,14 @@ validation errors) is converted into a failure too, so crashes are findings,
 not fuzzer errors.  The oracles:
 
 ``engines_agree``
-    The same snapshot pair explained by the row-wise, string-columnar and
-    dictionary-encoded engines (optionally the parallel engine) produces
-    bit-identical explanations, costs and alignments — the metamorphic core
-    of the harness, and what makes the planned binary-store rewrite safe.
+    The same snapshot pair explained by the production columnar engine and
+    the row-wise reference engine produces bit-identical explanations,
+    costs and alignments — the differential core of the harness.
 ``bounds_sound``
     ``BlockingResult.refined_bounds`` (the bounds-only fast path) equals the
-    bounds of the materialised refined blocking, encoded and string
-    components group identically, and ``unaligned_bounds`` matches a
-    recount over the blocks.
+    bounds of the materialised refined blocking and ``unaligned_bounds``
+    matches a recount over the blocks, under both the columnar engine's
+    code components and the row-wise engine's string components.
 ``codec_roundtrip``
     ``Column.dictionary()`` decodes back to the column;
     :class:`~repro.core.colcache.AttributeCodec` is a bijection that never
@@ -23,8 +22,8 @@ not fuzzer errors.  The oracles:
     Requests and outcomes survive ``to_dict``/``from_dict`` through real
     JSON, and the canonical request key is stable.
 ``buffer_roundtrip``
-    The binary columnar container (``pack_tables``/``unpack_tables``, the
-    shared-memory ship format and the on-disk snapshot cache) is a fixed
+    The binary columnar container (``pack_tables``/``unpack_tables`` and
+    the on-disk snapshot cache) is a fixed
     point: codes→buffer→codes reproduces every cell, packing is
     deterministic, an mmap-loaded snapshot equals the in-memory load, and
     *corrupted* container bytes either raise :class:`BufferFormatError` or
@@ -76,17 +75,14 @@ from .corpus import SnapshotPair
 #: still walking induction, ranking, refinement and finalisation.
 FUZZ_MAX_EXPANSIONS = 200
 
-#: The engine matrix ``engines_agree`` compares.  ``parallel`` exists but is
-#: opt-in (process pools dominate the runtime on fuzz-sized inputs).
+#: The engine pair ``engines_agree`` compares: the row-wise reference first,
+#: then the production columnar engine.
 ENGINE_OVERRIDES: Dict[str, Dict[str, Any]] = {
     "rowwise": {"columnar_cache": False},
-    "columnar": {"columnar_cache": True, "blocking_codes": False},
-    "codes": {"columnar_cache": True, "blocking_codes": True},
-    "parallel": {"columnar_cache": True, "blocking_codes": True,
-                 "parallel_workers": 2},
+    "columnar": {"columnar_cache": True},
 }
 
-DEFAULT_ENGINES: Tuple[str, ...] = ("rowwise", "columnar", "codes")
+DEFAULT_ENGINES: Tuple[str, ...] = ("rowwise", "columnar")
 
 #: Statuses the HTTP service may answer a fuzzer-crafted body with.
 ACCEPTABLE_HTTP_STATUSES = frozenset({200, 202, 400, 404, 409, 413})
@@ -227,12 +223,13 @@ def _recount_bounds(blocking) -> Tuple[int, int]:
 
 def bounds_sound(pair: SnapshotPair, *, seed: int = 0) -> None:
     """Bounds-only refinement equals materialised refinement, for both the
-    encoded and the string engines, attribute by attribute."""
+    columnar (code) and the row-wise (string) blocking components, attribute
+    by attribute."""
     identity = IDENTITY
-    for codes_active in (False, True):
+    for columnar in (False, True):
         try:
             instance = _instance(pair)
-            cache = ColumnCache(instance.source, codes=codes_active)
+            cache = ColumnCache(instance.source, enabled=columnar)
             state = SearchState.empty(instance.schema)
             blocking = build_blocking(instance, state, cache)
             observed = blocking.unaligned_bounds()
@@ -241,7 +238,7 @@ def bounds_sound(pair: SnapshotPair, *, seed: int = 0) -> None:
                 raise OracleFailure(
                     oracle="bounds_sound",
                     message=(f"unaligned_bounds {observed} != recount {recount} "
-                             f"(codes={codes_active}, empty state)"),
+                             f"(columnar={columnar}, empty state)"),
                 )
             for attribute in instance.schema:
                 fast = refine_blocking_bounds(instance, blocking, attribute,
@@ -254,7 +251,7 @@ def bounds_sound(pair: SnapshotPair, *, seed: int = 0) -> None:
                         oracle="bounds_sound",
                         message=(f"refined_bounds {fast} != materialised "
                                  f"{slow} on {attribute!r} "
-                                 f"(codes={codes_active})"),
+                                 f"(columnar={columnar})"),
                     )
                 recount = _recount_bounds(materialised)
                 if slow != recount:
@@ -262,7 +259,7 @@ def bounds_sound(pair: SnapshotPair, *, seed: int = 0) -> None:
                         oracle="bounds_sound",
                         message=(f"unaligned_bounds {slow} != recount "
                                  f"{recount} on {attribute!r} "
-                                 f"(codes={codes_active})"),
+                                 f"(columnar={columnar})"),
                     )
                 blocking = materialised
         except InputOutOfDomain:

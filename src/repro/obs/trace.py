@@ -146,7 +146,8 @@ class _ActiveSpan:
         self._counters[counter] = self._counters.get(counter, 0.0) + value
 
     def attach(self, span: Span) -> None:
-        """Adopt an already-closed span (e.g. shard work timed elsewhere)."""
+        """Adopt an already-closed span (e.g. loading timed before the
+        span opened)."""
         self._children.append(span)
 
     def snapshot(self) -> Optional[Span]:
@@ -209,7 +210,7 @@ class Tracer:
               counters: Optional[Mapping[str, float]] = None,
               start: Optional[float] = None) -> Span:
         """Record a completed interval of known *duration* (work timed
-        elsewhere, e.g. inside a shard worker) as a child of the current
+        elsewhere, e.g. in another process) as a child of the current
         span, or as a root."""
         if start is None:
             start = max(0.0, self.now() - duration)

@@ -88,9 +88,8 @@ def _explain_pair_process(request_payload: Dict) -> Dict:
     """Worker body of the process fan-out: explain one pair, return a plain
     dict (everything crossing the process boundary stays JSON-shaped).
 
-    The child runs the columnar engine — the batch's parallelism is the
-    file-level sharding itself, and nested shard pools inside every child
-    would multiply processes beyond the batch's ``workers`` bound.
+    The child runs the columnar engine; the batch's parallelism is the
+    file-level sharding itself.
     """
     from ..api import ExplainSession
 
@@ -257,10 +256,8 @@ def run_batch(directory: Path, *,
         ``"parallel"`` shards the directory fan-out *across files*: each
         pair is explained in its own worker process (a bounded
         ``ProcessPoolExecutor`` of *workers* processes) instead of a worker
-        thread.  File-level sharding replaces per-search sharding here —
-        inside each worker the search runs the columnar engine, so a batch
-        never multiplies processes — and explanations stay bit-identical to
-        every other engine.  Any other value (or ``None``) keeps the
+        thread.  Inside each worker the search runs the columnar engine,
+        so explanations stay bit-identical to the thread fan-out.  Any other value (or ``None``) keeps the
         thread-pool fan-out and is recorded on each pair's request.
     output_dir:
         When given, a ``<name>.explanation.json`` file is written per

@@ -74,8 +74,6 @@ from ..core import (
     AffidavitResult,
     ProblemInstance,
     SearchProgress,
-    ShardPool,
-    default_parallel_workers,
     engine_name,
     identity_configuration,
 )
@@ -421,15 +419,6 @@ class JobManager:
         never occupy a worker.
     default_config:
         Configuration used for submissions that do not bring their own.
-    search_workers:
-        Size of the manager's shared :class:`~repro.core.ShardPool` for
-        jobs that request ``engine="parallel"``.  One bounded pool serves
-        every job, so *workers* HTTP threads times N search workers can
-        never fork-bomb the machine — concurrent parallel jobs share the
-        same ``search_workers`` processes.  ``0`` disables the parallel
-        engine service-side (such jobs run columnar, bit-identically);
-        ``None`` picks the machine default
-        (:func:`repro.core.default_parallel_workers`).
     max_retained_jobs:
         Upper bound on the job registry.  When a submission would exceed it,
         the oldest *terminal* jobs (and their snapshots/results) are dropped;
@@ -445,21 +434,15 @@ class JobManager:
                  store: Optional[ResultStore] = None,
                  max_queue_depth: Optional[int] = None,
                  default_config: Optional[AffidavitConfig] = None,
-                 search_workers: Optional[int] = None,
                  max_retained_jobs: int = 1024):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if max_retained_jobs < 1:
             raise ValueError(f"max_retained_jobs must be >= 1, got {max_retained_jobs}")
-        if search_workers is not None and search_workers < 0:
-            raise ValueError(f"search_workers must be >= 0, got {search_workers}")
         if max_queue_depth is not None and max_queue_depth < 1:
             raise ValueError(
                 f"max_queue_depth must be >= 1 or None, got {max_queue_depth}")
         self.workers = workers
-        self.search_workers = (
-            default_parallel_workers() if search_workers is None else search_workers
-        )
         self.max_retained_jobs = max_retained_jobs
         self.max_queue_depth = max_queue_depth
         self.cache = cache if cache is not None else ResultCache(
@@ -467,7 +450,6 @@ class JobManager:
         )
         self.store = store
         self._default_config = default_config or identity_configuration()
-        self._shard_pool: Optional[ShardPool] = None
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
@@ -747,29 +729,6 @@ class JobManager:
                         else " (cache hit)" if job.cache_hit else "",
                         extra={"job_id": job.id})
 
-    def _acquire_shard_pool(self) -> Optional[ShardPool]:
-        """The manager's shared shard pool, created lazily; ``None`` when the
-        service disabled parallel search (``search_workers=0``).
-
-        A pool that broke (e.g. a worker was OOM-killed) is discarded and
-        replaced, so one transient failure degrades the jobs in flight to
-        the columnar engine but does not disable ``engine="parallel"`` for
-        the rest of the service's lifetime."""
-        if self.search_workers <= 1:
-            return None
-        stale = None
-        with self._lock:
-            if self._closed:
-                return None
-            if self._shard_pool is not None and not self._shard_pool.available():
-                stale, self._shard_pool = self._shard_pool, None
-            if self._shard_pool is None:
-                self._shard_pool = ShardPool(self.search_workers)
-            pool = self._shard_pool
-        if stale is not None:
-            stale.close()
-        return pool
-
     # ------------------------------------------------------------------ #
     # worker body
     # ------------------------------------------------------------------ #
@@ -830,20 +789,12 @@ class JobManager:
 
         # All execution flows through the repro.api session facade — the
         # worker's closures replace the config's own observers (they already
-        # chain the user's callbacks captured above).  Parallel jobs run on
-        # the manager's single bounded shard pool; when the service disables
-        # it, the config degrades to the bit-identical columnar engine.
-        shard_pool = None
-        if config.columnar_cache and config.parallel_workers > 1:
-            shard_pool = self._acquire_shard_pool()
-            if shard_pool is None:
-                config = config.with_overrides(parallel_workers=0)
+        # chain the user's callbacks captured above).
         session = (
             ExplainSession(
                 config=config.with_overrides(
                     should_stop=None, progress_callback=None
                 ),
-                shard_pool=shard_pool,
             )
             .with_progress(on_progress)
             .with_cancellation(should_stop)
@@ -960,10 +911,6 @@ class JobManager:
         if wait:
             for thread in self._threads:
                 thread.join()
-        with self._lock:
-            shard_pool, self._shard_pool = self._shard_pool, None
-        if shard_pool is not None:
-            shard_pool.close()
 
     def __enter__(self) -> "JobManager":
         return self

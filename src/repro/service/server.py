@@ -662,7 +662,6 @@ def create_server(host: str = "127.0.0.1", port: int = 0, *,
                   max_queue_depth: Optional[int] = None,
                   quota_rate: Optional[float] = None,
                   quota_burst: Optional[float] = None,
-                  search_workers: Optional[int] = None,
                   data_root: Optional[Path] = None,
                   verbose: bool = False,
                   max_body_bytes: int = MAX_BODY_BYTES,
@@ -682,8 +681,7 @@ def create_server(host: str = "127.0.0.1", port: int = 0, *,
     if manager is None:
         manager = JobManager(workers=workers, cache_entries=cache_entries,
                              cache_ttl=cache_ttl, store=store,
-                             max_queue_depth=max_queue_depth,
-                             search_workers=search_workers)
+                             max_queue_depth=max_queue_depth)
     quotas = None
     if quota_rate is not None:
         quotas = ClientQuotas(quota_rate, quota_burst)
@@ -721,7 +719,6 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8080, *,
                   max_queue_depth: Optional[int] = None,
                   quota_rate: Optional[float] = None,
                   quota_burst: Optional[float] = None,
-                  search_workers: Optional[int] = None,
                   data_root: Optional[Path] = None,
                   verbose: bool = True,
                   log_level: str = "info",
@@ -732,15 +729,14 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8080, *,
                            cache_entries=cache_entries, cache_ttl=cache_ttl,
                            store=store, max_queue_depth=max_queue_depth,
                            quota_rate=quota_rate, quota_burst=quota_burst,
-                           search_workers=search_workers,
                            data_root=data_root, verbose=verbose,
                            max_body_bytes=max_body_bytes)
     bound_host, bound_port = server.server_address[:2]
     manager_store = server.manager.store
     logger.info(
         "affidavit service listening on http://%s:%s "
-        "(%s workers, %s search workers, cache %s entries%s%s%s%s)",
-        bound_host, bound_port, workers, server.manager.search_workers,
+        "(%s workers, cache %s entries%s%s%s%s)",
+        bound_host, bound_port, workers,
         cache_entries, "" if cache_ttl is None else f", ttl {cache_ttl:g}s",
         "" if manager_store is None
         else f", shared store {manager_store.backend}",

@@ -113,6 +113,42 @@ class TestConfigValidate:
             AffidavitConfig(**{field: value})
 
 
+class TestIntegerOverrides:
+    """Integer search parameters arriving from the wire are type-checked:
+    a float or a bool is rejected, never truncated or used as-is."""
+
+    @pytest.mark.parametrize("field", [
+        "beta", "queue_width", "max_block_size", "min_generation_successes",
+        "max_expansions", "column_cache_entries", "blocking_cache_size",
+    ])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True])
+    def test_non_integers_are_rejected(self, field, value):
+        payload = inline_request().to_dict()
+        payload["overrides"] = {field: value}
+        with pytest.raises(RequestValidationError):
+            ExplainRequest.from_dict(payload)
+
+    @pytest.mark.parametrize("field", ["beta", "max_expansions"])
+    def test_config_constructor_rejects_bools_and_floats(self, field):
+        for value in (1.5, True):
+            with pytest.raises(ValueError, match=f"{field} must be an integer"):
+                AffidavitConfig(**{field: value})
+
+    def test_integer_values_and_unbounded_expansions_stay_accepted(self):
+        config = resolve_config(inline_request(
+            overrides={"beta": 3, "max_expansions": None, "queue_width": 2}
+        ))
+        assert (config.beta, config.max_expansions, config.queue_width) == (3, None, 2)
+        assert resolve_config(
+            inline_request(overrides={"max_expansions": "7"})
+        ).max_expansions == 7
+
+    @pytest.mark.parametrize("value", ["7.5", "seven"])
+    def test_non_integer_strings_are_rejected(self, value):
+        with pytest.raises(RequestValidationError):
+            inline_request(overrides={"max_expansions": value})
+
+
 # --------------------------------------------------------------------- #
 # resolution
 # --------------------------------------------------------------------- #

@@ -312,8 +312,10 @@ class TestStrategyChain:
 # exactness and cross-tier agreement
 # --------------------------------------------------------------------- #
 class TestBudgetNoneBitIdentity:
-    """budget=None must be bit-identical to the plain full search on all
-    four engine configurations (the chain is never entered)."""
+    """budget=None must be bit-identical to the plain full search on every
+    engine request (the chain is never entered).  The retired requests —
+    ``engine: "parallel"`` and the ``blocking_codes`` override that once
+    selected the string-keyed columnar path — run the columnar engine."""
 
     ENGINE_REQUESTS = {
         "encoded-columnar": {"engine": "columnar"},
@@ -322,6 +324,7 @@ class TestBudgetNoneBitIdentity:
         "rowwise": {"engine": "rowwise"},
         "parallel": {"engine": "parallel",
                      "overrides": {"parallel_workers": 2}},
+        "parallel-default": {"engine": "parallel"},
     }
 
     @pytest.mark.parametrize("label", sorted(ENGINE_REQUESTS))
@@ -351,6 +354,102 @@ class TestBudgetNoneBitIdentity:
         assert budgeted.cost == plain.cost
         assert budgeted.explanation == plain.explanation
         assert budgeted.expansions == plain.expansions
+
+
+class TestRetiredEngineWireCompat:
+    """Requests written for builds with the parallel engine and the
+    string-keyed columnar path still parse, are validated as those builds
+    validated them, and run the columnar engine."""
+
+    LEGACY = ("string-columnar", "parallel", "parallel-default")
+
+    @staticmethod
+    def _payload(spec, **extra):
+        return {
+            "source_csv": SOURCE_CSV,
+            "target_csv": TARGET_CSV,
+            "engine": spec["engine"],
+            "overrides": {"seed": 13, **spec.get("overrides", {})},
+            **extra,
+        }
+
+    def _explain(self, spec, **extra):
+        request = ExplainRequest.from_dict(self._payload(spec, **extra))
+        return ExplainSession().explain(request)
+
+    @staticmethod
+    def _assert_same_answer(outcome, reference):
+        assert outcome.provenance.engine == "columnar"
+        assert outcome.cost == reference.cost
+        assert outcome.explanation == reference.explanation
+
+    @pytest.mark.parametrize("label", LEGACY)
+    def test_v1_request_runs_columnar(self, label):
+        specs = TestBudgetNoneBitIdentity.ENGINE_REQUESTS
+        outcome = self._explain(specs[label])
+        self._assert_same_answer(outcome, self._explain(specs["encoded-columnar"]))
+        assert outcome.provenance.api_version == SCHEMA_VERSION
+
+    @pytest.mark.parametrize("label", LEGACY)
+    def test_v2_budgeted_request_runs_columnar(self, label):
+        specs = TestBudgetNoneBitIdentity.ENGINE_REQUESTS
+        v2 = dict(schema_version=SCHEMA_VERSION_V2,
+                  budget={"deadline_ms": 600_000}, strategy=["full"])
+        outcome = self._explain(specs[label], **v2)
+        self._assert_same_answer(
+            outcome, self._explain(specs["encoded-columnar"], **v2)
+        )
+        assert outcome.provenance.api_version == SCHEMA_VERSION_V2
+        assert outcome.provenance.tier == "full"
+
+    @pytest.mark.parametrize("engine, overrides", [
+        ("parallel", {"parallel_workers": "2.9"}),
+        ("parallel", {"parallel_workers": 2.0}),
+        ("parallel", {"parallel_workers": True}),
+        ("parallel", {"parallel_workers": -1}),
+        ("parallel", {"columnar_cache": False}),
+        ("parallel", {"columnar_cache": False, "parallel_workers": 2}),
+        ("columnar", {"parallel_workers": "2.9"}),
+        ("columnar", {"parallel_workers": -1}),
+        ("columnar", {"parallel_workers": None}),
+        ("columnar", {"parallel_workers": 2}),
+        ("rowwise", {"parallel_workers": 2}),
+    ])
+    def test_ill_typed_legacy_values_are_still_rejected(self, engine, overrides):
+        with pytest.raises(RequestValidationError):
+            ExplainRequest.from_dict(self._payload(
+                {"engine": engine, "overrides": overrides}
+            ))
+
+    @pytest.mark.parametrize("engine, overrides", [
+        ("parallel", {"parallel_workers": 1}),
+        ("parallel", {"parallel_workers": 3}),
+        ("parallel", {"parallel_workers": None}),
+        ("parallel", {"columnar_cache": False, "parallel_workers": 0}),
+        ("columnar", {"parallel_workers": 0}),
+        ("columnar", {"parallel_workers": True}),
+        ("rowwise", {"parallel_workers": 1}),
+        ("columnar", {"blocking_codes": "anything"}),
+    ])
+    def test_legal_legacy_values_are_accepted_and_ignored(self, engine, overrides):
+        request = ExplainRequest.from_dict(self._payload(
+            {"engine": engine, "overrides": overrides}
+        ))
+        plain = ExplainRequest.from_dict(self._payload({
+            "engine": "columnar" if engine == "parallel" else engine,
+            "overrides": {k: v for k, v in overrides.items()
+                          if k == "columnar_cache"},
+        }))
+        assert request.overrides != plain.overrides
+        assert ExplainSession().resolve_config(request) == \
+            ExplainSession().resolve_config(plain)
+
+    def test_stored_parallel_provenance_round_trips(self):
+        payload = self._explain({"engine": "columnar"}).provenance.to_dict()
+        payload["engine"] = "parallel"
+        provenance = Provenance.from_dict(payload)
+        assert provenance.engine == "parallel"
+        assert provenance.to_dict() == payload
 
 
 class TestCrossTierAgreement:

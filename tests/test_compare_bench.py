@@ -65,51 +65,6 @@ def test_missing_fresh_result_fails(dirs):
     assert "MISSING" in result.stdout
 
 
-def test_ungated_parallel_metric_never_fails(dirs):
-    baseline, fresh = dirs
-    _write(baseline, "BENCH_parallel.json",
-           {"speedup_at_max": 2.1, "gated": True})
-    _write(fresh, "BENCH_parallel.json",
-           {"speedup_at_max": 0.7, "gated": False})
-    result = _run(baseline, fresh)
-    assert result.returncode == 0
-    assert "ungated" in result.stdout
-
-
-def test_small_host_baseline_flags_promotion_instead_of_fake_gating(dirs):
-    # A baseline committed from a 1-core box ("gated": false) cannot anchor
-    # a meaningful trend comparison; a gate-worthy fresh run is surfaced as
-    # PROMOTE-BASELINE (the in-bench threshold still enforces the absolute
-    # floor) rather than silently passing or failing against a bogus anchor.
-    baseline, fresh = dirs
-    _write(baseline, "BENCH_parallel.json",
-           {"speedup_at_max": 0.7, "gated": False})
-    _write(fresh, "BENCH_parallel.json",
-           {"speedup_at_max": 1.5, "gated": True})
-    result = _run(baseline, fresh)
-    assert result.returncode == 0
-    assert "PROMOTE-BASELINE" in result.stdout
-
-
-def test_gated_parallel_regression_fails(dirs):
-    baseline, fresh = dirs
-    _write(baseline, "BENCH_parallel.json",
-           {"speedup_at_max": 2.1, "gated": True})
-    _write(fresh, "BENCH_parallel.json",
-           {"speedup_at_max": 1.0, "gated": True})
-    result = _run(baseline, fresh)
-    assert result.returncode == 1
-
-
-def test_blocking_metric_is_gated(dirs):
-    baseline, fresh = dirs
-    _write(baseline, "BENCH_blocking.json", {"speedup": 5.0})
-    _write(fresh, "BENCH_blocking.json", {"speedup": 3.0})
-    result = _run(baseline, fresh)
-    assert result.returncode == 1
-    assert "encoded-vs-string blocking speedup" in result.stdout
-
-
 def test_unregistered_baseline_file_without_fresh_counterpart_fails(dirs):
     # Every committed baseline is expected fresh — even one no gated metric
     # reads; a benchmark silently dropped from the CI invocation must fail

@@ -125,8 +125,8 @@ def _block_contents(blocking):
 class TestEncodedBlocking:
     def _caches(self, instance):
         return (
-            ColumnCache(instance.source),               # encoded (codes on)
-            ColumnCache(instance.source, codes=False),  # string-keyed baseline
+            ColumnCache(instance.source),                 # columnar codes
+            ColumnCache(instance.source, enabled=False),  # row-wise strings
         )
 
     def test_encoded_build_matches_string_build(self):
@@ -143,9 +143,9 @@ class TestEncodedBlocking:
         assert _block_contents(encoded) == _block_contents(strings)
         assert encoded.unaligned_bounds() == strings.unaligned_bounds()
 
-    @pytest.mark.parametrize("codes", [True, False])
-    def test_block_ids_are_int32_arrays(self, instance, codes):
-        cache = ColumnCache(instance.source, codes=codes)
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_block_ids_are_int32_arrays(self, instance, columnar):
+        cache = ColumnCache(instance.source, enabled=columnar)
         state = SearchState.empty(instance.schema).extend("kind", IDENTITY)
         for blocking in (
             build_blocking(instance, state, cache),
@@ -174,9 +174,9 @@ class TestEncodedBlocking:
         )
         assert _block_contents(encoded) == _block_contents(strings)
 
-    @pytest.mark.parametrize("codes", [True, False])
-    def test_bounds_only_refinement_matches_materialised(self, instance, codes):
-        cache = ColumnCache(instance.source, codes=codes)
+    @pytest.mark.parametrize("columnar", [True, False])
+    def test_bounds_only_refinement_matches_materialised(self, instance, columnar):
+        cache = ColumnCache(instance.source, enabled=columnar)
         base = build_blocking(
             instance, SearchState.empty(instance.schema).extend("kind", IDENTITY),
             cache,
@@ -364,13 +364,14 @@ REFERENCE_CASES = [
 class TestReferenceGrouping:
     """Fresh builds and chained refinements reproduce the dict-of-lists
     grouping exactly — blocks, their order and their row lists — in every
-    component space (codes, strings through the cache, uncached strings)."""
+    component space (columnar codes, row-wise strings through a disabled
+    cache, uncached strings)."""
 
     @staticmethod
     def _caches(instance):
         return [
             ColumnCache(instance.source),
-            ColumnCache(instance.source, codes=False),
+            ColumnCache(instance.source, enabled=False),
             None,
         ]
 

@@ -1,8 +1,8 @@
 """Tests of the column cache and the columnar evaluation engine.
 
 Covers the unit behaviour of :class:`repro.core.ColumnCache` (value-map
-reuse, LRU eviction, statistics, the identity fast path, non-cacheable
-functions) and the headline guarantee of the engine: columnar evaluation
+and code-map reuse, LRU eviction, statistics, the identity fast path,
+non-cacheable functions) and the headline guarantee of the engine: columnar evaluation
 with cross-state memoization returns **bit-identical** costs and
 explanations to the row-wise fallback on randomized snapshot pairs.
 """
@@ -35,9 +35,19 @@ from repro.core.extension import PostingsIndex
 from repro.linking.histogram import histogram_overlap, value_histogram
 
 
+def value_map(function, values):
+    """*function*'s value map over *values* in string space, inapplicable
+    values mapped to the sentinel (the reference for the cache's code maps)."""
+    return {
+        value: NOT_APPLICABLE if function.apply(value) is None else function.apply(value)
+        for value in values
+    }
+
+
 def mapped_histogram(mapping, value_counts):
-    """The histogram of a slice under a code or value map from the cache
-    (``None`` is the identity); inapplicable keys are dropped."""
+    """The histogram of a slice under a code map from the cache or a
+    :func:`value_map` (``None`` is the identity); inapplicable keys are
+    dropped."""
     histogram = Counter()
     for key, count in value_counts.items():
         image = key if mapping is None else mapping[key]
@@ -212,8 +222,8 @@ class TestDictionaryEncoding:
         function = Prefixing("p-")
         column = table.column_view("text")
         string_slices = [value_histogram(column[:3]), value_histogram(column[3:])]
-        value_map = cache.value_map_for("text", function, column)
-        string_result = [mapped_histogram(value_map, s) for s in string_slices]
+        string_result = [mapped_histogram(value_map(function, column), s)
+                         for s in string_slices]
 
         source_codes = cache.source_value_codes("text")
         code_slices = [value_histogram(source_codes[:3]), value_histogram(source_codes[3:])]
@@ -249,22 +259,22 @@ class TestDictionaryEncoding:
         assert cache.code_map_for("num", IDENTITY) is None
         assert cache.stats().hits == 2
         with pytest.raises(ValueError):
-            ColumnCache(table, codes=False).code_map_for("num", Addition(1))
+            ColumnCache(table, enabled=False).code_map_for("num", Addition(1))
 
-    def test_codes_inactive_when_disabled_or_switched_off(self, table):
-        assert ColumnCache(table).codes_active
-        assert not ColumnCache(table, codes=False).codes_active
-        assert not ColumnCache(table, enabled=False).codes_active
+    def test_code_arrays_require_the_columnar_engine(self, table):
+        disabled = ColumnCache(table, enabled=False)
+        with pytest.raises(ValueError):
+            disabled.transformed_codes("num", Addition(1))
+        # The identity needs no transform: its codes are the source codes.
+        assert disabled.transformed_codes("num", IDENTITY) == \
+            ColumnCache(table).source_value_codes("num")
 
-    def test_evaluator_threads_the_codes_flag(self, table):
+    def test_evaluator_threads_the_columnar_flag(self, table):
         schema = Schema(["num", "text"])
         from repro.core import ProblemInstance
         instance = ProblemInstance(source=table, target=Table(schema, [["1", "a"]]))
-        assert StateEvaluator(instance).column_cache.codes_active
-        assert not StateEvaluator(
-            instance, blocking_codes=False
-        ).column_cache.codes_active
-        assert not StateEvaluator(instance, columnar=False).column_cache.codes_active
+        assert StateEvaluator(instance).column_cache.enabled
+        assert not StateEvaluator(instance, columnar=False).column_cache.enabled
 
     def test_blocking_cache_info_counts_hits_and_misses(self, table):
         from repro.core import ProblemInstance, SearchState
@@ -286,38 +296,27 @@ class TestTransformedHistograms:
         cache = ColumnCache(table)
         function = Prefixing("p")
         column = table.column_view("text")
-        slices = [value_histogram(column[:3]), value_histogram(column[3:])]
-        value_map = cache.value_map_for("text", function, column)
-        results = [mapped_histogram(value_map, s) for s in slices]
-        for value_counts, histogram in zip(slices, results):
-            expected = value_histogram(
-                function.apply(value)
-                for value, count in value_counts.items()
-                for _ in range(count)
-            )
+        codes = cache.source_value_codes("text")
+        slices = [value_histogram(codes[:3]), value_histogram(codes[3:])]
+        code_map = cache.code_map_for("text", function)
+        results = [mapped_histogram(code_map, s) for s in slices]
+        code_of = cache.codec("text").code_of
+        for cells, histogram in zip((column[:3], column[3:]), results):
+            expected = value_histogram(code_of(function.apply(value)) for value in cells)
             assert histogram == expected
 
     def test_restriction_preserves_overlap(self, table):
         cache = ColumnCache(table)
         function = Prefixing("p")
-        column = table.column_view("text")
-        source_slices = [value_histogram(column)]
-        target_histogram = value_histogram(["pa", "pa", "pz"])
-        value_map = cache.value_map_for("text", function, column)
-        unrestricted = [mapped_histogram(value_map, s) for s in source_slices]
-        target = list(target_histogram.elements())
+        source_codes = cache.source_value_codes("text")
+        code_map = cache.code_map_for("text", function)
+        unrestricted = mapped_histogram(code_map, value_histogram(source_codes))
+        target = cache.encoded_column("text", ["pa", "pa", "pz"])
         index = PostingsIndex(
-            column, target, [(range(len(column)), range(len(target)))]
+            source_codes, target, [(range(len(source_codes)), range(len(target)))]
         )
-        restricted = index.overlap(cache.value_map_for("text", function, index.keys))
-        assert histogram_overlap(unrestricted[0], target_histogram) == restricted
-
-    def test_identity_histograms_equal_slices(self, table):
-        cache = ColumnCache(table)
-        slices = [value_histogram(table.column_view("text"))]
-        value_map = cache.value_map_for("text", IDENTITY, table.column_view("text"))
-        results = [mapped_histogram(value_map, s) for s in slices]
-        assert results[0] == slices[0]
+        restricted = index.overlap(code_map)
+        assert histogram_overlap(unrestricted, value_histogram(target)) == restricted
 
 
 def _random_instances():

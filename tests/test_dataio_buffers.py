@@ -296,22 +296,6 @@ class TestInstanceIntegration:
             assert list(loaded.source.column_view(attribute)) == \
                 list(instance.source.column_view(attribute))
 
-    def test_ship_bytes_round_trip(self, pair):
-        instance = ProblemInstance(source=pair[0], target=pair[1], name="wired")
-        clone = ProblemInstance.from_ship_bytes(instance.ship_bytes())
-        assert clone.name == "wired"
-        assert clone.registry.names == instance.registry.names
-        for attribute in instance.schema:
-            assert list(clone.target.column_view(attribute)) == \
-                list(instance.target.column_view(attribute))
-
-    def test_ship_bytes_corruption(self, pair):
-        instance = ProblemInstance(source=pair[0], target=pair[1])
-        blob = bytearray(instance.ship_bytes())
-        blob[10] ^= 0xFF
-        with pytest.raises(BufferFormatError):
-            ProblemInstance.from_ship_bytes(bytes(blob))
-
 
 class TestContentDigest:
     def test_stable_and_chunk_sensitive(self):

@@ -5,22 +5,17 @@ The columnar engine counts candidate generations over interned function ids
 ranks candidates through a :class:`repro.core.extension.PostingsIndex`.
 Both must reproduce the row-wise reference exactly — the same candidates,
 counts and first-generation order, the same ``(score, -order, candidate)``
-triples — in both key spaces (dictionary codes and plain values), and the
-sharded engine's shard tasks must merge back to the sequential result.
+triples.
 """
 
 from __future__ import annotations
 
-import pickle
 import random
-import uuid
 
 import pytest
 
 from repro.core import SearchState, StateEvaluator, identity_configuration
-from repro.core import parallel as parallel_module
 from repro.core.extension import StateExpander
-from repro.core.parallel import ParallelStateExpander
 from repro.core.sampling import sample_concatenated
 from repro.datagen import generate_problem_instance
 from repro.datagen.datasets import load_dataset
@@ -55,8 +50,8 @@ def _states(instance):
     return [empty, deeper]
 
 
-def _expander(instance, *, columnar=True, codes=True, seed=0, **config):
-    evaluator = StateEvaluator(instance, columnar=columnar, blocking_codes=codes)
+def _expander(instance, *, columnar=True, seed=0, **config):
+    evaluator = StateEvaluator(instance, columnar=columnar)
     configuration = identity_configuration(seed=seed, **config)
     return StateExpander(instance, configuration, evaluator, random.Random(seed)), evaluator
 
@@ -166,11 +161,10 @@ def _ranking_inputs(instance, expander, evaluator, state, attribute, seed):
 
 
 class TestPostingsRanking:
-    @pytest.mark.parametrize("codes", [True, False], ids=["codes", "values"])
     @pytest.mark.parametrize("case", CASES, ids=lambda c: f"{c[0]}-{c[4]}")
-    def test_scores_equal_rowwise(self, case, codes):
+    def test_scores_equal_rowwise(self, case):
         instance = _instance(*case)
-        expander, evaluator = _expander(instance, codes=codes)
+        expander, evaluator = _expander(instance)
         saw_single_valued = False
         for depth, state in enumerate(_states(instance)):
             mixed = evaluator.blocking(state).mixed_blocks()
@@ -216,62 +210,3 @@ class TestPostingsRanking:
         before = cache.stats().lookups
         expander._score_candidates_columnar(candidates, mixed, block_indices, attribute)
         assert cache.stats().lookups - before == len(candidates)
-
-
-# --------------------------------------------------------------------------- #
-# the sharded engine runs the same kernels
-# --------------------------------------------------------------------------- #
-class _InProcessPool:
-    """A shard pool that runs every shard task in this process, with the
-    payloads and results round-tripped through pickle like the real one."""
-
-    workers = 3
-
-    def __init__(self):
-        self.tasks = 0
-        self._token = f"kernel-test-{uuid.uuid4().hex}"
-
-    def available(self):
-        return True
-
-    def map_shards(self, task, instance, cache_entries, payloads, record=None):
-        blob = pickle.dumps(("inline", instance, cache_entries))
-        results = []
-        for payload in payloads:
-            self.tasks += 1
-            result = task(self._token, blob, *pickle.loads(pickle.dumps(payload)))
-            results.append(pickle.loads(pickle.dumps(result)))
-        return results
-
-
-@pytest.fixture
-def remote_everything(monkeypatch):
-    monkeypatch.setattr(parallel_module, "MIN_REMOTE_EXAMPLES", 0)
-    monkeypatch.setattr(parallel_module, "MIN_REMOTE_RECORDS", 0)
-
-
-class TestShardedKernels:
-    @pytest.mark.parametrize("case", CASES[:3], ids=lambda c: f"{c[0]}-{c[4]}")
-    def test_shard_tasks_merge_to_the_sequential_result(self, case, remote_everything):
-        instance = _instance(*case)
-        sequential, evaluator = _expander(instance)
-        pool = _InProcessPool()
-        sharded = ParallelStateExpander(
-            instance, identity_configuration(seed=0), StateEvaluator(instance),
-            random.Random(0), pool=pool)
-        for depth, state in enumerate(_states(instance)):
-            if not evaluator.blocking(state).mixed_blocks():
-                continue
-            for attribute in state.undecided_attributes[:ATTRIBUTES_PER_STATE]:
-                mixed, candidates, block_indices = _ranking_inputs(
-                    instance, sequential, evaluator, state, attribute, seed=depth)
-                sampled = _sampled_examples(sequential, mixed, seed=depth)
-                expected = sequential._generation_counts(mixed, attribute, sampled)
-                counts, seen = sharded._generation_counts(mixed, attribute, sampled)
-                assert list(counts.items()) == list(expected[0].items())
-                assert seen == expected[1]
-                assert sharded._score_candidates_columnar(
-                    candidates, mixed, block_indices, attribute,
-                ) == sequential._score_candidates_columnar(
-                    candidates, mixed, block_indices, attribute)
-        assert pool.tasks > 0

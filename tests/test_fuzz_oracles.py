@@ -80,7 +80,7 @@ class TestSnapshotOracles:
         oracle(pair, seed=0)
 
     def test_engines_agree_accepts_engine_subset(self, healthy_pair):
-        engines_agree(healthy_pair, seed=0, engines=("rowwise", "parallel"))
+        engines_agree(healthy_pair, seed=0, engines=("columnar",))
 
     def test_single_column_single_row_pair(self):
         pair = SnapshotPair(

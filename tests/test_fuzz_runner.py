@@ -97,14 +97,14 @@ class TestShortRun:
 
 @pytest.fixture
 def broken_codes_engine(monkeypatch):
-    """Corrupt the codes-blocking fast path only: the last dictionary code
-    of every column collapses onto the first.  The rowwise and columnar
-    engines are untouched, so agreement must break."""
+    """Corrupt the columnar engine's dictionary codes only: the last code
+    of every column collapses onto the first.  The row-wise reference is
+    untouched, so agreement must break."""
     original = ColumnCache.source_value_codes
 
     def corrupted(self, attribute):
         codes = list(original(self, attribute))
-        if self.codes_active and len(codes) >= 2 and codes[-1] != codes[0]:
+        if self.enabled and len(codes) >= 2 and codes[-1] != codes[0]:
             codes[-1] = codes[0]
         return codes
 

@@ -2,7 +2,7 @@
 
 Covers the cross-layer claims: tracing is bit-identical-neutral on every
 engine, traced outcomes round-trip through the versioned dict (including the
-blocking-cache stats), shard work carries ship-vs-compute spans, ``/metrics``
+blocking-cache stats), ``/metrics``
 serves well-formed Prometheus text while jobs are in flight, and the strict
 ``Timings`` parser rejects garbage payloads.
 """
@@ -22,26 +22,11 @@ from repro.api import (
     RequestValidationError,
 )
 from repro.api.outcome import Timings
-from repro.core import Affidavit, ShardPool, identity_configuration
-from repro.core import parallel as parallel_module
+from repro.core import Affidavit, identity_configuration
 from repro.obs import NULL_TRACER, Tracer, phase_totals
 from repro.service.schemas import ResultView
 
 from tests.test_service_http import explain_body, request, wait_for_state
-
-
-@pytest.fixture(scope="module")
-def shared_pool():
-    pool = ShardPool(2)
-    yield pool
-    pool.close()
-
-
-@pytest.fixture
-def remote_everything(monkeypatch):
-    """Force every phase through the pool, however small the workload."""
-    monkeypatch.setattr(parallel_module, "MIN_REMOTE_EXAMPLES", 0)
-    monkeypatch.setattr(parallel_module, "MIN_REMOTE_RECORDS", 0)
 
 
 def _assert_bit_identical(result, reference):
@@ -60,22 +45,18 @@ def _assert_bit_identical(result, reference):
 ENGINE_CONFIGS = {
     "rowwise": dict(columnar_cache=False),
     "columnar": dict(),
-    "columnar-no-codes": dict(blocking_codes=False),
-    "parallel": dict(parallel_workers=2),
 }
 
 
 @pytest.mark.parametrize("engine", sorted(ENGINE_CONFIGS))
-def test_tracing_is_bit_identical_on_every_engine(
-        engine, generated_iris, shared_pool, remote_everything):
+def test_tracing_is_bit_identical_on_every_engine(engine, generated_iris):
     overrides = ENGINE_CONFIGS[engine]
     config = identity_configuration(max_expansions=60, **overrides)
-    pool = shared_pool if engine == "parallel" else None
     instance = generated_iris.instance
 
-    untraced = Affidavit(config, shard_pool=pool).explain(instance)
+    untraced = Affidavit(config).explain(instance)
     tracer = Tracer()
-    traced = Affidavit(config, shard_pool=pool, tracer=tracer).explain(instance)
+    traced = Affidavit(config, tracer=tracer).explain(instance)
 
     _assert_bit_identical(traced, untraced)
     (root,) = tracer.roots()
@@ -83,37 +64,6 @@ def test_tracing_is_bit_identical_on_every_engine(
     assert root.name == "search"
     assert {"induction", "ranking"} <= names
     assert root.counter_values["expansions"] == traced.expansions
-
-
-def test_parallel_trace_records_ship_vs_compute(
-        generated_iris, shared_pool, remote_everything):
-    config = identity_configuration(max_expansions=40, parallel_workers=2)
-    tracer = Tracer()
-    Affidavit(config, shard_pool=shared_pool, tracer=tracer).explain(
-        generated_iris.instance)
-
-    (root,) = tracer.roots()
-    shards = [span for span in root.walk() if span.name == "shard"]
-    assert shards, "no shard spans recorded on a forced-remote parallel run"
-    for span in shards:
-        counters = span.counter_values
-        assert {"shard", "compute_seconds", "ship_seconds"} <= set(counters)
-        assert counters["compute_seconds"] >= 0.0
-        assert counters["ship_seconds"] >= 0.0
-        # The shard's wall time is the sum of the two components.
-        assert span.duration == pytest.approx(
-            counters["compute_seconds"] + counters["ship_seconds"], abs=1e-6)
-
-
-def test_shard_metrics_accumulate_in_the_registry(
-        generated_iris, shared_pool, remote_everything):
-    from repro.obs import get_registry
-
-    tasks = get_registry().get("repro_shard_tasks_total")
-    before = sum(tasks.series().values())
-    config = identity_configuration(max_expansions=40, parallel_workers=2)
-    Affidavit(config, shard_pool=shared_pool).explain(generated_iris.instance)
-    assert sum(tasks.series().values()) > before
 
 
 # --------------------------------------------------------------------- #

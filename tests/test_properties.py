@@ -314,25 +314,27 @@ class TestColumnarEngineProperties:
     @given(values=st.lists(cell_values, min_size=1, max_size=30), function=functions)
     @settings(max_examples=60, deadline=None)
     def test_transformed_histograms_match_per_cell_application(self, values, function):
-        from repro.core import NOT_APPLICABLE, ColumnCache
+        from repro.core import NOT_APPLICABLE_CODE, ColumnCache
 
         table = Table(Schema(["a"]), [[value] for value in values])
         cache = ColumnCache(table)
         half = len(values) // 2
-        slices = [value_histogram(values[:half]), value_histogram(values[half:])]
-        value_map = cache.value_map_for("a", function, values)
+        codes = cache.source_value_codes("a")
+        slices = [value_histogram(codes[:half]), value_histogram(codes[half:])]
+        code_map = cache.code_map_for("a", function)
         results = [
             value_histogram(
                 image
-                for value, count in value_counts.items()
-                for image in [value if value_map is None else value_map[value]] * count
-                if image != NOT_APPLICABLE
+                for code, count in code_counts.items()
+                for image in [code if code_map is None else code_map[code]] * count
+                if image != NOT_APPLICABLE_CODE
             )
-            for value_counts in slices
+            for code_counts in slices
         ]
+        code_of = cache.codec("a").code_of
         for slice_values, histogram in zip((values[:half], values[half:]), results):
             expected = value_histogram(
-                transformed
+                code_of(transformed)
                 for transformed in (function.apply(v) for v in slice_values)
                 if transformed is not None
             )
@@ -376,15 +378,14 @@ class TestColumnarEngineProperties:
            seed=st.integers(min_value=0, max_value=2**16))
     @settings(max_examples=20, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    def test_encoded_string_and_rowwise_engines_are_bit_identical(
+    def test_columnar_and_rowwise_engines_are_bit_identical(
             self, source_rows, target_rows, seed):
-        """The acceptance property of dictionary-encoded blocking: the
-        encoded engine (the default), the string-keyed columnar engine and
-        the row-wise fallback return bit-identical results — cost, function
-        assignments and the end state's blocking bounds."""
+        """The acceptance property of the production engine: the columnar
+        engine (the default, on dictionary codes) and the row-wise reference
+        (on strings) return bit-identical results — cost, function
+        assignments, alignment and the end state's blocking bounds."""
         configs = [
-            identity_configuration(seed=seed),                        # encoded
-            identity_configuration(seed=seed, blocking_codes=False),  # strings
+            identity_configuration(seed=seed),                        # columnar
             identity_configuration(seed=seed, columnar_cache=False),  # row-wise
         ]
         results = []
@@ -396,14 +397,14 @@ class TestColumnarEngineProperties:
             bounds.append(
                 build_blocking(instance, result.end_state).unaligned_bounds()
             )
-        encoded = results[0]
-        for other in results[1:]:
-            assert other.cost == encoded.cost
-            assert other.explanation.functions == encoded.explanation.functions
-            assert other.end_state == encoded.end_state
-            assert other.expansions == encoded.expansions
-            assert other.generated_states == encoded.generated_states
-        assert bounds[0] == bounds[1] == bounds[2]
+        columnar, rowwise = results
+        assert rowwise.cost == columnar.cost
+        assert rowwise.explanation.functions == columnar.explanation.functions
+        assert rowwise.explanation.alignment == columnar.explanation.alignment
+        assert rowwise.end_state == columnar.end_state
+        assert rowwise.expansions == columnar.expansions
+        assert rowwise.generated_states == columnar.generated_states
+        assert bounds[0] == bounds[1]
 
     @given(source_rows=engine_rows, target_rows=engine_rows,
            seed=st.integers(min_value=0, max_value=2**16))
@@ -411,25 +412,26 @@ class TestColumnarEngineProperties:
               suppress_health_check=[HealthCheck.too_slow])
     def test_buffer_backed_instances_are_bit_identical(
             self, source_rows, target_rows, seed):
-        """A ship_bytes round trip — the binary columnar wire/snapshot format,
-        whose tables are lazy BufferColumn-backed — must not perturb the
-        search on any engine.  (The parallel engine receives exactly these
-        buffer-backed instances from its shared-memory shipping; its own
-        bit-identity is covered by test_core_parallel.py, where one pool is
-        amortised across the module.)"""
+        """A save/load round trip through the ``AFBUF01`` snapshot file,
+        whose tables come back lazy and BufferColumn-backed, must not
+        perturb the search on either engine."""
+        import tempfile
+        from pathlib import Path
+
         reference = Affidavit(identity_configuration(seed=seed)).explain(
             build_instance(source_rows, target_rows)
         )
         configs = [
-            identity_configuration(seed=seed),                        # encoded
-            identity_configuration(seed=seed, blocking_codes=False),  # strings
+            identity_configuration(seed=seed),                        # columnar
             identity_configuration(seed=seed, columnar_cache=False),  # row-wise
         ]
         for config in configs:
-            instance = ProblemInstance.from_ship_bytes(
-                build_instance(source_rows, target_rows).ship_bytes()
-            )
-            result = Affidavit(config).explain(instance)
+            with tempfile.TemporaryDirectory() as directory:
+                path = build_instance(source_rows, target_rows).save(
+                    Path(directory) / "pair.afbuf"
+                )
+                instance = ProblemInstance.load(path)
+                result = Affidavit(config).explain(instance)
             assert result.cost == reference.cost
             assert result.explanation.functions == reference.explanation.functions
             assert result.end_state == reference.end_state
@@ -444,10 +446,8 @@ class TestColumnarEngineProperties:
             self, source_rows, target_rows, seed):
         """budget=None must never enter the strategy chain: a session run
         without a budget is bit-identical to the direct full search, on the
-        encoded, string-keyed and row-wise engine configurations alike (the
-        parallel engine is covered by the fixed-seed matrix in
-        test_api_strategies.py — spawning a process pool per hypothesis
-        example would dominate the suite's runtime)."""
+        columnar and row-wise engines alike, and with the retired
+        ``blocking_codes`` override (accepted and ignored)."""
         from repro.api import ExplainRequest, ExplainSession
         from repro.dataio import to_csv_text
 

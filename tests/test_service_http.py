@@ -247,6 +247,30 @@ def test_validation_errors_are_400(base_url):
     assert status == 400
 
 
+def test_fractional_integer_override_is_a_400_envelope(base_url):
+    status, payload = request(
+        base_url, "POST", "/v1/explain", explain_body(2, overrides={"beta": 2.5})
+    )
+    assert status == 400
+    assert payload["schema_version"] == "affidavit.error/v1"
+    assert payload["code"] == "invalid_request"
+    assert "beta" in payload["message"]
+
+
+def test_retired_parallel_engine_requests_over_http(base_url):
+    status, view = request(base_url, "POST", "/v1/explain", explain_body(
+        3, engine="parallel", overrides={"parallel_workers": 2}))
+    assert status in (200, 202)
+    wait_for_state(base_url, view["id"], {"done"})
+    status, result = request(base_url, "GET", f"/v1/jobs/{view['id']}/result")
+    assert status == 200
+    assert result["provenance"]["engine"] == "columnar"
+    status, payload = request(base_url, "POST", "/v1/explain", explain_body(
+        3, engine="parallel", overrides={"parallel_workers": "2.9"}))
+    assert status == 400
+    assert payload["code"] == "invalid_request"
+
+
 def test_wrong_typed_fields_are_400_not_dropped_connections(base_url):
     cases = [
         {"source_csv": 123, "target_csv": "id\n1\n"},
