@@ -2,8 +2,9 @@
 
 Not a table of the paper: this benchmark measures the serving layer added on
 top of the reproduction — jobs/second for a pool of small instances at worker
-counts 1, 2 and 4, plus the latency gap between a cold submission and an
-idempotency-cache hit.  The search itself is pure Python (the GIL limits CPU
+counts 1, 2 and 4, plus the latency gap between a cold submission and a
+result-store hit (the default in-process memory store, and a sqlite store
+shared by two replicas).  The search itself is pure Python (the GIL limits CPU
 parallelism), so the worker scaling mostly exercises the manager's queueing
 and bookkeeping overhead; the cache-hit speedup is the headline number.
 
@@ -130,7 +131,7 @@ def test_cache_hit_speedup(benchmark, report_sink, bench_seed, quick_mode,
         "speedup": round(speedup, 1),
     }
     report_sink.append(
-        f"idempotency cache: cold {cold_runtime * 1000:.1f}ms vs "
+        f"memory store: cold {cold_runtime * 1000:.1f}ms vs "
         f"hit {hit_seconds * 1e6:.0f}us ({speedup:.0f}x)"
     )
 
@@ -140,11 +141,10 @@ def test_shared_store_dedup(benchmark, report_sink, bench_seed, quick_mode,
     """Two replicas, one sqlite store: replica B answers replica A's work.
 
     Replica A computes the explanation cold and publishes the serialized
-    outcome; replica B — a fresh manager with a cold in-process cache —
+    outcome; replica B — a fresh manager over the same sqlite file —
     submits the identical request and must resolve it from the shared store
-    without searching.  The store-hit path never touches B's L1 (there is no
-    live result to cache), so every benchmark iteration exercises a real
-    sqlite read + outcome deserialization round-trip.
+    without searching.  Every benchmark iteration exercises a real sqlite
+    read + outcome deserialization round-trip.
     """
     rows = _rows(quick_mode)
     (source, target), = _pairs(1, rows, bench_seed)

@@ -8,7 +8,7 @@ way any client would:
 2. ``POST /v1/explain`` — submit the paper's running example inline,
 3. ``GET /v1/jobs/<id>`` — poll until done,
 4. ``GET /v1/jobs/<id>/result`` — fetch the explanation as JSON and SQL,
-5. repeat the submission — observe the idempotency cache hit,
+5. repeat the submission — observe the result-store hit,
 6. submit a throttled job and ``DELETE`` it mid-search,
 7. ``GET /v1/jobs/<id>/events`` — follow a job live as a stream of
    ``affidavit.event/v1`` frames instead of polling,
@@ -90,7 +90,7 @@ def main() -> None:
     print("\n--- the same result as SQL ---")
     print(call(base_url, "GET", f"/v1/jobs/{view['id']}/result?format=sql"))
 
-    print("=== 5. resubmit: idempotency cache hit ===")
+    print("=== 5. resubmit: result-store hit ===")
     repeat = call(base_url, "POST", "/v1/explain", body)
     print(f"job {repeat['id']}: state={repeat['state']}, cache_hit={repeat['cache_hit']}")
 

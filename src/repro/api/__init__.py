@@ -6,7 +6,7 @@ Every front door of the reproduction funnels work through this package:
   (snapshots inline or by path, configuration overrides, registry subset,
   engine choice, and — since schema v2 — an optional latency ``budget``
   and tier ``strategy``) with ``to_dict`` / ``from_dict`` round-trips and a
-  canonical content hash that idempotency keys derive from.
+  canonical content hash (``outcome.idempotency_key`` of uncached runs).
 * :class:`ExplainSession` (alias :class:`Session`) — the fluent facade that
   owns registry resolution, engine dispatch and progress/cancellation
   wiring: ``Session().with_config("hid", seed=7).explain(request)``.
@@ -19,6 +19,11 @@ Every front door of the reproduction funnels work through this package:
   explanation: ``Session().with_budget(50).explain(request)`` walks
   cache → greedy → full search → baseline fallbacks under a wall-clock
   deadline and reports the answering tier in the outcome's provenance.
+* :class:`ResultStore` (:class:`MemoryResultStore`,
+  :class:`SqliteResultStore`) keyed by :func:`idempotency_key` — the one
+  result cache: exact outcomes under a content key over the parsed tables,
+  the resolved configuration and the function pool.  The session's
+  ``cache`` tier and the service's job manager both use it.
 
 The HTTP service, the batch runner and the CLI are thin adapters over these
 types.  Engine dispatch lives here too: ``engine="columnar"`` (default, the
@@ -76,7 +81,15 @@ from .request import (
     resolve_registry,
 )
 from .session import ExplainSession, Session
-from .strategies import ChainRun, StrategyChain, TierCache
+from .store import (
+    MemoryResultStore,
+    ResultStore,
+    SqliteResultStore,
+    StoreStats,
+    idempotency_key,
+    open_store,
+)
+from .strategies import ChainRun, StrategyChain
 
 __all__ = [
     "RequestValidationError",
@@ -123,5 +136,10 @@ __all__ = [
     "DEFAULT_STRATEGY",
     "StrategyChain",
     "ChainRun",
-    "TierCache",
+    "ResultStore",
+    "MemoryResultStore",
+    "SqliteResultStore",
+    "StoreStats",
+    "idempotency_key",
+    "open_store",
 ]

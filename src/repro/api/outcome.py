@@ -207,8 +207,10 @@ class ExplainOutcome:
     #: Root span of the run when tracing was enabled (the per-phase tree the
     #: CLI ``--trace`` flag exports); ``None`` for untraced runs.
     trace: Optional[Span] = field(default=None, repr=False)
-    #: The canonical request hash this run answers; ``None`` for instance-based
-    #: library runs that never built a request.
+    #: The key this answer is known by: the result-store key
+    #: (:func:`repro.api.store.idempotency_key`) for service jobs and store
+    #: hits, otherwise the canonical request hash; ``None`` for
+    #: instance-based library runs that never built a request.
     idempotency_key: Optional[str] = None
     #: The originating request, when the run was request-driven.
     request: Optional[ExplainRequest] = None

@@ -6,8 +6,10 @@ the batch runner all construct one and hand it to the same resolution code
 (:func:`resolve_config` / :func:`resolve_registry`).  The request is a frozen
 dataclass with a versioned JSON round-trip (:meth:`ExplainRequest.to_dict` /
 :meth:`ExplainRequest.from_dict`) and a canonical content hash
-(:meth:`ExplainRequest.canonical_key`) that the service derives its
-idempotency keys from.
+(:meth:`ExplainRequest.canonical_key`).  Result caching does not key on the
+request: :func:`repro.api.store.idempotency_key` digests what the request
+resolves to — the parsed tables, the resolved configuration and the function
+pool — so transport, budget, strategy and execution hints never split it.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .budget import ExplainBudget, validate_strategy
 from .errors import RequestValidationError, UnsupportedSchemaVersion
 
 #: The original request wire format.  A request that uses no v2 feature
-#: still serializes at this version, so its ``canonical_key()`` — and every
-#: idempotency key derived from it — is byte-identical to pre-v2 builds.
+#: still serializes at this version, so its ``canonical_key()`` is
+#: byte-identical to pre-v2 builds.
 SCHEMA_VERSION = "affidavit.request/v1"
 
 #: The budgeted wire format: v1 plus the ``budget`` and ``strategy`` fields.
@@ -75,20 +77,11 @@ BASE_CONFIGS = {
 }
 
 #: Execution hints that do not influence the explanation and therefore stay
-#: out of the canonical hash (two submissions differing only here must share
-#: an idempotency key).
+#: out of the canonical hash.
 _NON_CANONICAL_FIELDS = ("name", "throttle_seconds", "use_cache", "priority")
 
 #: Bounds of the scheduling ``priority`` hint (higher runs earlier).
 PRIORITY_MIN, PRIORITY_MAX = -100, 100
-
-#: The snapshot-transport fields.  ``canonical_key(include_snapshots=False)``
-#: drops them so callers that digest the *materialised* tables themselves
-#: (the service's idempotency keys) are not fragmented by how the same data
-#: arrived — inline vs path, path spelling, or delimiter.
-_SNAPSHOT_FIELDS = (
-    "source_csv", "target_csv", "source_path", "target_path", "delimiter",
-)
 
 
 @dataclass(frozen=True)
@@ -320,8 +313,7 @@ class ExplainRequest:
     def schema_version(self) -> str:
         """The version this request serializes at: the *lowest* one that can
         represent it.  A request using no v2 feature speaks v1, which keeps
-        its canonical key (and the idempotency keys derived from it)
-        byte-identical to pre-v2 builds."""
+        its canonical key byte-identical to pre-v2 builds."""
         if self.budget is None and self.strategy is None:
             return SCHEMA_VERSION
         return SCHEMA_VERSION_V2
@@ -352,36 +344,32 @@ class ExplainRequest:
             payload["strategy"] = None if self.strategy is None else list(self.strategy)
         return payload
 
-    def canonical_dict(self, *, include_snapshots: bool = True) -> Dict[str, Any]:
+    def canonical_dict(self) -> Dict[str, Any]:
         """The result-determining fields only — presentation metadata and
         execution hints (``name``, ``throttle_seconds``, ``use_cache``,
-        ``priority``) are
-        excluded so they cannot split the idempotency cache.  With
-        ``include_snapshots=False`` the snapshot-transport fields are dropped
-        too, leaving just the execution fields (config, overrides, functions,
-        engine) for callers that hash the materialised tables separately."""
+        ``priority``) are excluded so they cannot split the canonical
+        hash."""
         payload = self.to_dict()
         for field_name in _NON_CANONICAL_FIELDS:
             payload.pop(field_name, None)
-        if not include_snapshots:
-            for field_name in _SNAPSHOT_FIELDS:
-                payload.pop(field_name, None)
         return payload
 
-    def canonical_json(self, *, include_snapshots: bool = True) -> str:
+    def canonical_json(self) -> str:
         """Key-sorted, whitespace-free JSON of :meth:`canonical_dict`."""
         return json.dumps(
-            self.canonical_dict(include_snapshots=include_snapshots),
+            self.canonical_dict(),
             sort_keys=True, separators=(",", ":"), ensure_ascii=False,
         )
 
-    def canonical_key(self, *, include_snapshots: bool = True) -> str:
+    def canonical_key(self) -> str:
         """SHA-256 over :meth:`canonical_json` — stable across dict key order
-        and across the execution-hint fields.  The service's idempotency keys
-        are derived from this hash (with ``include_snapshots=False``, plus
-        content digests of the materialised tables)."""
+        and across the execution-hint fields.  It is the
+        ``outcome.idempotency_key`` of uncached request-driven runs; result
+        stores key on :func:`repro.api.store.idempotency_key` instead."""
+        # surrogatepass: a lone surrogate in a parsed CSV cell is data to
+        # hash, not a reason to fail the run.
         return hashlib.sha256(
-            self.canonical_json(include_snapshots=include_snapshots).encode("utf-8")
+            self.canonical_json().encode("utf-8", "surrogatepass")
         ).hexdigest()
 
     # ------------------------------------------------------------------ #

@@ -47,7 +47,8 @@ from .events import SearchCompleted, SearchEvent, SearchProgressed, SearchStarte
 from .outcome import ExplainOutcome
 from .request import BASE_CONFIGS, ExplainRequest, resolve_registry
 from .request import resolve_config as _resolve_request_config
-from .strategies import StrategyChain, TierCache
+from .store import MemoryResultStore
+from .strategies import StrategyChain
 
 ProgressCallback = Callable[[SearchProgress], None]
 StopCallback = Callable[[], bool]
@@ -134,8 +135,7 @@ class ExplainSession:
                  tracer: Optional[Tracer] = None,
                  budget: Optional[ExplainBudget] = None,
                  strategy: Optional[Tuple[str, ...]] = None,
-                 snapshot_cache: Optional[Path] = None,
-                 _tier_cache: Optional[TierCache] = None):
+                 snapshot_cache: Optional[Path] = None):
         self._config = config
         self._registry = registry
         self._progress_callback = progress_callback
@@ -145,9 +145,11 @@ class ExplainSession:
         self._tracer = tracer
         self._budget = budget
         self._strategy = strategy
-        # Shared by reference across clones, so a cached exact answer
-        # survives with_*() chaining.
-        self._tier_cache = _tier_cache if _tier_cache is not None else TierCache()
+        #: The strategy chain's result store: exact answers keyed by content
+        #: (tables, resolved config, function pool), shared by reference
+        #: across clones — a clone with another config or pool simply keys
+        #: differently.
+        self._store = MemoryResultStore(max_entries=64)
 
     # ------------------------------------------------------------------ #
     # fluent builder
@@ -163,10 +165,11 @@ class ExplainSession:
             "budget": self._budget,
             "strategy": self._strategy,
             "snapshot_cache": self._snapshot_cache,
-            "_tier_cache": self._tier_cache,
         }
         state.update(changes)
-        return ExplainSession(**state)
+        clone = ExplainSession(**state)
+        clone._store = self._store
+        return clone
 
     def with_config(self, config: Union[AffidavitConfig, str, None] = None,
                     **overrides) -> "ExplainSession":
@@ -462,7 +465,7 @@ class ExplainSession:
         if budget is None and strategy is None:
             return self._execute(instance, request, load_seconds)
         chain = StrategyChain(
-            self, budget=budget, strategy=strategy, cache=self._tier_cache
+            self, budget=budget, strategy=strategy, store=self._store
         )
         return chain.run(instance, request, load_seconds=load_seconds).outcome
 

@@ -1,6 +1,6 @@
 """The strategy chain: budgeted, tiered explanation behind the v2 API.
 
-A :class:`StrategyChain` walks a configurable tier list — result-cache
+A :class:`StrategyChain` walks a configurable tier list — result-store
 lookup, a greedy shallow search, the full affidavit search, then baseline
 fallbacks — under one wall-clock :class:`~repro.api.budget.ExplainBudget`.
 Each tier produces a typed :class:`~repro.api.budget.TierResult`; the chain
@@ -24,11 +24,9 @@ acyclic (baselines build :class:`~repro.api.ExplainOutcome` themselves).
 
 from __future__ import annotations
 
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
 from ..obs import get_registry
 from .budget import (
@@ -51,6 +49,7 @@ from .budget import (
 )
 from .outcome import ExplainOutcome
 from .request import ExplainRequest
+from .store import ResultStore, idempotency_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
     from ..core import ProblemInstance
@@ -76,52 +75,6 @@ _TIER_ANSWERS = _metrics.counter(
     "Strategy-chain final answers by tier and confidence",
     ("tier", "confidence"),
 )
-
-
-class TierCache:
-    """Small thread-safe LRU of *exact* outcomes, shared by session clones.
-
-    Entries are keyed by the budget-stripped canonical request hash, so a
-    budgeted request hits the entry an unbudgeted one stored (an exact
-    answer does not depend on how long the caller was willing to wait).
-    Only inline-CSV requests are cached — a path-based request's files can
-    change on disk between calls, which is the service-layer cache's job to
-    detect (it digests the materialised tables).
-    """
-
-    def __init__(self, max_entries: int = 64):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self._max_entries = max_entries
-        self._entries: "OrderedDict[str, ExplainOutcome]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    @staticmethod
-    def key_for(request: ExplainRequest) -> Optional[str]:
-        """The cache key of *request*, or ``None`` when it is not cacheable
-        (path transport, or caching disabled on the request)."""
-        if request.source_csv is None or not request.use_cache:
-            return None
-        stripped = (
-            request if request.budget is None and request.strategy is None
-            else replace(request, budget=None, strategy=None)
-        )
-        return stripped.canonical_key()
-
-    def get(self, key: str) -> Optional[ExplainOutcome]:
-        with self._lock:
-            outcome = self._entries.get(key)
-            if outcome is not None:
-                self._entries.move_to_end(key)
-            return outcome
-
-    def put(self, key: str, outcome: ExplainOutcome) -> None:
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = outcome
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
 
 
 @dataclass(frozen=True)
@@ -154,21 +107,22 @@ class StrategyChain:
     strategy:
         Tier names to walk, in order (default:
         :data:`~repro.api.budget.DEFAULT_STRATEGY`).
-    cache:
-        The :class:`TierCache` the ``cache`` tier consults; ``None``
-        disables that tier.
+    store:
+        The :class:`~repro.api.store.ResultStore` the ``cache`` tier
+        consults and the full tier feeds with exact answers; ``None``
+        disables both.
     """
 
     def __init__(self, session: "ExplainSession", *,
                  budget: Optional[ExplainBudget] = None,
                  strategy: Optional[Sequence[str]] = None,
-                 cache: Optional[TierCache] = None):
+                 store: Optional[ResultStore] = None):
         self._session = session
         self._budget = budget
         resolved = DEFAULT_STRATEGY if strategy is None else tuple(strategy)
         validate_strategy(resolved)
         self._strategy = resolved
-        self._cache = cache
+        self._store = store
 
     @property
     def strategy(self) -> Tuple[str, ...]:
@@ -194,6 +148,18 @@ class StrategyChain:
         )
         attempts: List[TierResult] = []
         candidates: List[ExplainOutcome] = []
+        keys: List[str] = []
+
+        def store_key() -> str:
+            # Computed at most once per walk, and only by a tier that needs
+            # it (inside its try: resolving the config may fail).
+            if not keys:
+                keys.append(idempotency_key(
+                    instance.source, instance.target,
+                    self._session.resolve_config(request),
+                    tuple(instance.registry.names),
+                ))
+            return keys[0]
 
         def record(result: TierResult) -> None:
             attempts.append(result)
@@ -213,7 +179,9 @@ class StrategyChain:
             started = time.perf_counter()
             try:
                 if name == TIER_CACHE:
-                    result = self._try_cache(request, started)
+                    result = self._try_cache(
+                        instance, request, load_seconds, store_key, started
+                    )
                     stop_walking = result.status == STATUS_ANSWERED
                 elif name == TIER_GREEDY:
                     result = self._run_greedy(
@@ -227,7 +195,7 @@ class StrategyChain:
                 elif name == TIER_FULL:
                     result = self._run_full(
                         instance, request, load_seconds, deadline,
-                        bool(candidates), started,
+                        bool(candidates), store_key, started,
                     )
                     # Nothing after the full search can improve on it; the
                     # baseline tiers are only insurance for when it never ran.
@@ -291,24 +259,23 @@ class StrategyChain:
             return True
         return outcome.compression_ratio <= quality
 
-    def _try_cache(self, request: Optional[ExplainRequest],
-                   started: float) -> TierResult:
-        if request is None or self._cache is None:
+    def _caching(self, request: Optional[ExplainRequest]) -> bool:
+        return self._store is not None and (request is None or request.use_cache)
+
+    def _try_cache(self, instance: "ProblemInstance",
+                   request: Optional[ExplainRequest], load_seconds: float,
+                   store_key: Callable[[], str], started: float) -> TierResult:
+        if not self._caching(request):
             return TierResult(
                 tier=TIER_CACHE, status=STATUS_SKIPPED,
                 elapsed_seconds=time.perf_counter() - started,
-                detail="no cache attached" if request is not None
-                else "no request to key on",
+                detail="no store attached" if self._store is None
+                else "use_cache=false",
             )
-        key = TierCache.key_for(request)
-        if key is None:
-            return TierResult(
-                tier=TIER_CACHE, status=STATUS_SKIPPED,
-                elapsed_seconds=time.perf_counter() - started,
-                detail="request is not cacheable "
-                       "(path transport or use_cache=false)",
-            )
-        cached = self._cache.get(key)
+        cached = self._store.get_outcome(
+            store_key(), request=request, instance=instance,
+            load_seconds=load_seconds,
+        )
         if cached is None:
             return TierResult(
                 tier=TIER_CACHE, status=STATUS_SKIPPED,
@@ -376,7 +343,7 @@ class StrategyChain:
     def _run_full(self, instance: "ProblemInstance",
                   request: Optional[ExplainRequest], load_seconds: float,
                   deadline: Deadline, have_candidate: bool,
-                  started: float) -> TierResult:
+                  store_key: Callable[[], str], started: float) -> TierResult:
         if deadline.expired() and have_candidate:
             return TierResult(
                 tier=TIER_FULL, status=STATUS_TIMEOUT,
@@ -392,11 +359,8 @@ class StrategyChain:
             instance, request, load_seconds, tier=TIER_FULL,
         )
         confidence = outcome.provenance.confidence
-        if confidence == CONFIDENCE_EXACT and self._cache is not None \
-                and request is not None:
-            key = TierCache.key_for(request)
-            if key is not None:
-                self._cache.put(key, outcome)
+        if confidence == CONFIDENCE_EXACT and self._caching(request):
+            self._store.put_outcome(store_key(), outcome)
         detail = (
             f"completed after {outcome.expansions} expansions"
             if confidence == CONFIDENCE_EXACT

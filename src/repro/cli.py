@@ -19,7 +19,7 @@ the engines honest:
 
 ``serve``
     Run the explanation service: an HTTP API with a bounded worker pool and
-    an idempotency-keyed result cache (see :mod:`repro.service`).
+    one content-keyed result store (see :mod:`repro.service`).
 
 ``batch``
     Explain every ``<name>_source.csv`` / ``<name>_target.csv`` pair in a
@@ -156,7 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("datasets", help="list the available surrogate datasets")
 
     serve = subparsers.add_parser(
-        "serve", help="run the explanation service (HTTP API + worker pool + cache)"
+        "serve", help="run the explanation service (HTTP API + worker pool + result store)"
     )
     serve.add_argument("--host", default="127.0.0.1", help="bind address")
     serve.add_argument("--port", type=int, default=8080,
@@ -164,9 +164,11 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="concurrent explain workers")
     serve.add_argument("--cache-entries", type=int, default=128,
-                       help="capacity of the idempotency result cache")
+                       help="capacity of the default in-process result store "
+                            "(ignored with --store)")
     serve.add_argument("--cache-ttl", type=float, default=None,
-                       help="result time-to-live in seconds (default: no expiry)")
+                       help="time-to-live in seconds of the default in-process "
+                            "result store (default: no expiry; ignored with --store)")
     serve.add_argument("--data-root", type=Path, default=Path("."),
                        help="directory that server-side snapshot paths are confined "
                             "to (default: the working directory)")
@@ -177,9 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="request body size cap in bytes; larger bodies are "
                             "refused with HTTP 413 (default: 64 MiB)")
     serve.add_argument("--store", default=None, metavar="SPEC",
-                       help="shared result store: 'memory', 'sqlite:PATH' or a "
-                            "bare sqlite path; replicas pointed at the same "
-                            "path deduplicate work (default: no shared store)")
+                       help="result store instead of the default in-process one: "
+                            "'memory', 'sqlite:PATH' or a bare sqlite path; "
+                            "replicas pointed at the same path deduplicate work")
     serve.add_argument("--queue-depth", type=int, default=None, metavar="N",
                        help="max jobs admitted (queued + running) before "
                             "submissions get HTTP 429 + Retry-After "

@@ -4,13 +4,14 @@ The CLI runs one blocking search per invocation; production data-profiling
 instead wraps the expensive Affidavit analysis behind a long-running service.
 This package provides that serving layer with stdlib means only:
 
-* :mod:`.cache` — an idempotency-keyed result cache (TTL + LRU) so repeated
-  submissions of the same snapshot pair return instantly,
 * :mod:`.jobs` — a :class:`~repro.service.jobs.JobManager` with a priority
-  worker queue, per-job event buffers, admission control and cooperative
-  cancellation,
-* :mod:`.store` — the pluggable shared L2 (:class:`ResultStore`) that lets
-  N replicas deduplicate work and restarted replicas keep their results,
+  worker queue, per-job event buffers, admission control, cooperative
+  cancellation and one result store (re-exported here from
+  :mod:`repro.api.store`): repeated submissions of the same content —
+  same parsed tables, resolved configuration and function pool, inline or
+  by path — return instantly, an in-process :class:`MemoryResultStore` by
+  default or a shared :class:`SqliteResultStore` that lets N replicas
+  deduplicate work and restarted replicas keep their results,
 * :mod:`.schemas` — typed request/response payloads with JSON round-trips,
 * :mod:`.server` — the HTTP API (``/healthz``, ``/v1/explain``,
   ``/v1/jobs/...`` including the ``/events`` stream) on
@@ -20,7 +21,14 @@ This package provides that serving layer with stdlib means only:
   through the same job manager.
 """
 
-from .cache import CacheStats, ResultCache, idempotency_key, request_idempotency_key
+from ..api import (
+    MemoryResultStore,
+    ResultStore,
+    SqliteResultStore,
+    StoreStats,
+    idempotency_key,
+    open_store,
+)
 from .jobs import (
     AdmissionError,
     Job,
@@ -45,20 +53,10 @@ from .server import (
     error_envelope,
     serve_forever,
 )
-from .store import (
-    MemoryResultStore,
-    ResultStore,
-    SqliteResultStore,
-    StoreStats,
-    open_store,
-)
 from .batch import BatchOutcome, discover_pairs, run_batch
 
 __all__ = [
-    "CacheStats",
-    "ResultCache",
     "idempotency_key",
-    "request_idempotency_key",
     "AdmissionError",
     "Job",
     "JobEventBuffer",

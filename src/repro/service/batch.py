@@ -3,9 +3,9 @@
 The CLI's ``generate`` command writes ``<name>_source.csv`` /
 ``<name>_target.csv`` pairs; this module discovers every such pair in a
 directory, submits them all to one :class:`~repro.service.jobs.JobManager`
-(same worker pool, same idempotency cache as the HTTP service) and collects
-the outcomes.  Re-running a batch over an unchanged directory is therefore
-almost free — every pair hits the cache.
+(same worker pool, same result store as the HTTP service) and collects
+the outcomes.  Re-running a batch over an unchanged directory through the
+same manager is therefore almost free — every pair hits the store.
 """
 
 from __future__ import annotations
@@ -71,15 +71,15 @@ class BatchOutcome:
 
 
 def _outcome(job: Job) -> BatchOutcome:
-    result = job.result
+    outcome = job.outcome
     return BatchOutcome(
         name=job.name,
         state=job.state.value,
         cache_hit=job.cache_hit,
-        cost=None if result is None else result.cost,
-        trivial_cost=None if result is None else result.trivial_cost,
-        compression_ratio=None if result is None else result.compression_ratio,
-        runtime_seconds=None if result is None else result.runtime_seconds,
+        cost=None if outcome is None else outcome.cost,
+        trivial_cost=None if outcome is None else outcome.trivial_cost,
+        compression_ratio=None if outcome is None else outcome.compression_ratio,
+        runtime_seconds=None if outcome is None else outcome.timings.search_seconds,
         error=job.error,
     )
 
@@ -177,7 +177,7 @@ def _run_batch_processes(pairs: Sequence[Tuple[str, Path, Path]], *,
             outcomes.append(BatchOutcome(
                 name=name,
                 state=payload["state"],
-                cache_hit=False,  # idempotency caches are per-process
+                cache_hit=False,  # the child processes share no store
                 cost=payload.get("cost"),
                 trivial_cost=payload.get("trivial_cost"),
                 compression_ratio=payload.get("compression_ratio"),
@@ -247,7 +247,7 @@ def run_batch(directory: Path, *,
         meaningful with a named or default *config*.
     manager:
         Reuse an existing manager (e.g. the HTTP service's, sharing its
-        cache); otherwise a private pool of *workers* threads is created and
+        result store); otherwise a private pool of *workers* threads is created and
         torn down around the batch.
     functions:
         Restrict the meta-function pool to these registry names for every
@@ -332,8 +332,8 @@ def run_batch(directory: Path, *,
             manager.shutdown(wait=True, cancel_pending=True)
 
     _write_outputs(output_dir, outcomes, {
-        job.name: explanation_to_dict(job.result.explanation)
+        job.name: explanation_to_dict(job.outcome.explanation)
         for _, job, _ in entries
-        if job is not None and job.state is JobState.DONE and job.result is not None
+        if job is not None and job.state is JobState.DONE
     })
     return outcomes

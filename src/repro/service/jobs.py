@@ -8,17 +8,17 @@ through the classic lifecycle
 
 with four service-specific twists:
 
-* **Idempotency.**  Submissions are keyed by the content hash of both
-  snapshots plus the comparable configuration fields
-  (:func:`~repro.service.cache.idempotency_key`).  A submission whose key is
-  already in the in-process cache materialises as an immediately-``done``
-  job flagged ``cache_hit`` — no worker is consumed.
-* **Shared result store.**  When the manager is given a
-  :class:`~repro.service.store.ResultStore`, a cache miss consults it before
-  queueing and every completed run publishes its serialized outcome to it —
-  N replicas pointed at one store deduplicate identical work, and a
-  restarted replica keeps serving results computed before the restart
-  (``store_hit`` jobs are also ``cache_hit`` from the client's view).
+* **One result store.**  Submissions are keyed by
+  :func:`~repro.api.store.idempotency_key` — the parsed snapshots, the
+  resolved configuration and the function pool.  The manager's one
+  :class:`~repro.api.store.ResultStore` (an in-process
+  :class:`~repro.api.store.MemoryResultStore` by default, or a shared
+  sqlite store) is consulted before queueing: a hit materialises as an
+  immediately-``done`` job flagged ``cache_hit`` and ``store_hit`` — no
+  worker is consumed — and every exact run publishes its serialized outcome
+  to it.  N replicas pointed at one sqlite store deduplicate identical
+  work, and a restarted replica keeps serving results computed before the
+  restart.
 * **Admission control.**  ``max_queue_depth`` bounds the number of admitted
   (queued or running) jobs; a submission over the bound raises
   :class:`AdmissionError` with a load-derived retry hint, which the HTTP
@@ -62,9 +62,12 @@ from ..api import (
     ExplainOutcome,
     ExplainRequest,
     ExplainSession,
+    MemoryResultStore,
     RequestValidationError,
+    ResultStore,
     SearchEvent,
     TERMINAL_FRAME_KINDS,
+    idempotency_key,
     make_frame,
     resolve_config,
     resolve_registry,
@@ -80,8 +83,6 @@ from ..core import (
 from ..dataio import Table, TableError
 from ..functions import FunctionRegistry
 from ..obs import get_registry
-from .cache import ResultCache, idempotency_key, request_idempotency_key
-from .store import ResultStore
 
 #: One logger for the whole service tier; records carry the job id both in
 #: the message and as ``record.job_id`` (via ``extra``) for structured sinks.
@@ -99,7 +100,7 @@ _JOBS_COMPLETED = _job_metrics.counter(
 )
 _JOBS_CACHE_HITS = _job_metrics.counter(
     "repro_jobs_cache_hits_total",
-    "Explain jobs answered from the idempotency cache",
+    "Explain jobs answered from the result store",
 )
 _JOBS_QUEUE_DEPTH = _job_metrics.gauge(
     "repro_jobs_queue_depth",
@@ -284,11 +285,9 @@ class Job:
         self._lock = threading.Lock()
         self._state = JobState.QUEUED
         self._cache_hit = False
-        self._store_hit = False
         self._admitted = False
         self._started_at: Optional[float] = None
         self._finished_at: Optional[float] = None
-        self._result: Optional[AffidavitResult] = None
         self._outcome: Optional[ExplainOutcome] = None
         self._error: Optional[str] = None
         self._progress: Optional[SearchProgress] = None
@@ -312,10 +311,10 @@ class Job:
 
     @property
     def store_hit(self) -> bool:
-        """Whether the result came from the shared store (implies
-        ``cache_hit`` from the client's perspective)."""
-        with self._lock:
-            return self._store_hit
+        """Whether the result came from the result store.  The store is
+        the one result cache, so this equals :attr:`cache_hit`; both stay
+        on the wire for existing clients."""
+        return self.cache_hit
 
     @property
     def started_at(self) -> Optional[float]:
@@ -329,8 +328,10 @@ class Job:
 
     @property
     def result(self) -> Optional[AffidavitResult]:
-        with self._lock:
-            return self._result
+        """The live search result of a run this process searched; ``None``
+        for store hits and baseline answers (read :attr:`outcome`)."""
+        outcome = self.outcome
+        return None if outcome is None else outcome.result
 
     @property
     def outcome(self) -> Optional[ExplainOutcome]:
@@ -358,11 +359,9 @@ class Job:
             self._progress = progress
 
     def _transition(self, state: JobState, *,
-                    result: Optional[AffidavitResult] = None,
                     outcome: Optional[ExplainOutcome] = None,
                     error: Optional[str] = None,
-                    cache_hit: bool = False,
-                    store_hit: bool = False) -> None:
+                    cache_hit: bool = False) -> None:
         with self._lock:
             if self._state.is_terminal:
                 return
@@ -370,14 +369,11 @@ class Job:
             if state is JobState.RUNNING:
                 self._started_at = time.time()
                 return
-            if result is not None:
-                self._result = result
             if outcome is not None:
                 self._outcome = outcome
             if error is not None:
                 self._error = error
             self._cache_hit = self._cache_hit or cache_hit
-            self._store_hit = self._store_hit or store_hit
             if state.is_terminal:
                 self._finished_at = time.time()
         if state.is_terminal:
@@ -396,27 +392,26 @@ def _short_error(error: Optional[str]) -> str:
 
 
 class JobManager:
-    """Runs explanation jobs on a bounded worker pool with result caching.
+    """Runs explanation jobs on a bounded worker pool with one result store.
 
     Parameters
     ----------
     workers:
         Number of concurrent explain workers (>= 1).
-    cache:
-        A shared :class:`~repro.service.cache.ResultCache`; when ``None`` a
-        private one is created from *cache_entries* / *cache_ttl*.
     cache_entries / cache_ttl:
-        Sizing of the private cache (ignored when *cache* is given).
+        Sizing of the default in-process
+        :class:`~repro.api.store.MemoryResultStore` (ignored when *store* is
+        given).
     store:
-        An optional shared :class:`~repro.service.store.ResultStore` (L2):
-        consulted on in-process cache misses, fed by every completed run.
-        The manager never closes it — the creator owns its lifetime, so one
-        store can back several managers (replicas).
+        The :class:`~repro.api.store.ResultStore` to use instead, e.g. a
+        sqlite store shared by several replicas: consulted before queueing,
+        fed by every exact run.  The manager never closes it — the creator
+        owns its lifetime, so one store can back several managers.
     max_queue_depth:
         Upper bound on *admitted* (queued + running) jobs; ``None`` (the
         default) disables the bound.  Submissions over it raise
-        :class:`AdmissionError`.  Cache/store hits bypass admission — they
-        never occupy a worker.
+        :class:`AdmissionError`.  Store hits bypass admission — they never
+        occupy a worker.
     default_config:
         Configuration used for submissions that do not bring their own.
     max_retained_jobs:
@@ -428,7 +423,6 @@ class JobManager:
     """
 
     def __init__(self, workers: int = 2, *,
-                 cache: Optional[ResultCache] = None,
                  cache_entries: int = 128,
                  cache_ttl: Optional[float] = None,
                  store: Optional[ResultStore] = None,
@@ -445,10 +439,9 @@ class JobManager:
         self.workers = workers
         self.max_retained_jobs = max_retained_jobs
         self.max_queue_depth = max_queue_depth
-        self.cache = cache if cache is not None else ResultCache(
+        self.store = store if store is not None else MemoryResultStore(
             max_entries=cache_entries, ttl_seconds=cache_ttl
         )
-        self.store = store
         self._default_config = default_config or identity_configuration()
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
@@ -491,11 +484,10 @@ class JobManager:
         if registry is not None:
             instance = ProblemInstance(source=source, target=target,
                                        registry=registry, name=name)
-            key = idempotency_key(source, target, config,
-                                  registry_names=tuple(registry.names))
         else:
             instance = ProblemInstance(source=source, target=target, name=name)
-            key = idempotency_key(source, target, config)
+        key = idempotency_key(source, target, config,
+                              tuple(instance.registry.names))
         job = self._new_job(name, key, instance, priority=priority)
         return self._enqueue(job, instance, config, throttle_seconds, use_cache)
 
@@ -508,10 +500,11 @@ class JobManager:
         This is the canonical entry point used by the HTTP service and the
         batch runner: the request's snapshots are materialised (confined to
         *data_root* when given), its configuration and registry subset are
-        resolved through :mod:`repro.api`, and the idempotency key is derived
-        from the canonical request hash.  An explicit *config* / *registry*
-        replaces the request's named base (the batch runner passes its
-        already-resolved configuration this way).
+        resolved through :mod:`repro.api`, and the idempotency key digests
+        the parsed tables, the resolved configuration and the function pool.
+        An explicit *config* / *registry* replaces the request's named base
+        (the batch runner passes its already-resolved configuration this
+        way).
 
         Raises :class:`repro.api.RequestValidationError` for malformed
         requests, unreadable snapshots or unknown function names, and
@@ -533,11 +526,8 @@ class JobManager:
             # schemas, reserved sentinel cells) are the client's problem.
             raise RequestValidationError(str(error)) from error
         load_seconds = time.perf_counter() - started
-        key = request_idempotency_key(
-            request, source, target,
-            config=config,
-            registry_names=None if registry is None else tuple(resolved_registry.names),
-        )
+        key = idempotency_key(source, target, resolved_config,
+                              tuple(resolved_registry.names))
         job = self._new_job(request.name, key, instance, request=request,
                             priority=request.priority)
         return self._enqueue(
@@ -561,29 +551,15 @@ class JobManager:
                  load_seconds: float = 0.0) -> Job:
         job._on_terminal = self._on_job_terminal
         if use_cache:
-            cached = self.cache.get(job.key)
-            if cached is not None:
-                self._register(job)
-                outcome = ExplainOutcome.from_result(
-                    cached,
-                    request=job.request,
-                    instance=instance,
-                    registry_names=tuple(instance.registry.names),
-                    load_seconds=load_seconds,
-                    idempotency_key=job.key,
-                )
-                if config_overridden:
-                    outcome = _without_base_config(outcome)
-                job._transition(JobState.DONE, result=cached, outcome=outcome,
-                                cache_hit=True)
-                return job
-            outcome = self._store_lookup(job, instance)
+            outcome = self.store.get_outcome(
+                job.key, request=job.request, instance=instance,
+                load_seconds=load_seconds,
+            )
             if outcome is not None:
                 self._register(job)
                 if config_overridden:
                     outcome = _without_base_config(outcome)
-                job._transition(JobState.DONE, outcome=outcome,
-                                cache_hit=True, store_hit=True)
+                job._transition(JobState.DONE, outcome=outcome, cache_hit=True)
                 return job
 
         self._admit(job)
@@ -640,43 +616,6 @@ class JobManager:
         with self._lock:
             return self._retry_after_locked()
 
-    def _store_lookup(self, job: Job,
-                      instance: ProblemInstance) -> Optional[ExplainOutcome]:
-        """A completed outcome from the shared store, rebuilt for this job;
-        ``None`` on miss, store error, or unreadable payload (a broken
-        store must degrade to a miss, never fail the submission)."""
-        if self.store is None:
-            return None
-        try:
-            payload = self.store.get(job.key)
-        except Exception:  # noqa: BLE001 - degrade to a miss
-            logger.exception("shared store get failed for job %s", job.id,
-                             extra={"job_id": job.id})
-            return None
-        if payload is None:
-            return None
-        try:
-            outcome = ExplainOutcome.from_dict(payload)
-        except Exception:  # noqa: BLE001 - a corrupt entry is a miss
-            logger.warning("shared store payload for key %s is unreadable",
-                           job.key[:12], extra={"job_id": job.id})
-            return None
-        # The store crosses the serialization boundary, so the outcome has
-        # no live result object — but this replica materialised the
-        # snapshots itself, so SQL/report rendering still works.  The stored
-        # timings describe the original computation and are kept verbatim.
-        return replace(outcome, instance=instance, idempotency_key=job.key,
-                       request=job.request)
-
-    def _store_publish(self, job: Job, outcome: ExplainOutcome) -> None:
-        if self.store is None:
-            return
-        try:
-            self.store.put(job.key, outcome.to_dict())
-        except Exception:  # noqa: BLE001 - the job itself succeeded
-            logger.exception("shared store put failed for job %s", job.id,
-                             extra={"job_id": job.id})
-
     def _prune_locked(self) -> None:
         """Drop the oldest terminal jobs once the registry exceeds its bound
         (caller holds ``self._lock``; dicts preserve insertion order)."""
@@ -725,8 +664,7 @@ class JobManager:
         else:
             logger.info("job %s %s in %.3fs%s", job.id, state.value,
                         latency if latency is not None else 0.0,
-                        " (store hit)" if job.store_hit
-                        else " (cache hit)" if job.cache_hit else "",
+                        " (store hit)" if job.store_hit else "",
                         extra={"job_id": job.id})
 
     # ------------------------------------------------------------------ #
@@ -766,11 +704,17 @@ class JobManager:
 
         user_should_stop = config.should_stop
         user_progress = config.progress_callback
+        # Set once the job's own cancel or the caller's should_stop stopped
+        # the search.  A budget deadline stops it too, but that is an answer
+        # (confidence "partial"), not a cancelled job.
+        stopped = threading.Event()
 
         def should_stop() -> bool:
-            if job._cancel_event.is_set():
+            if job._cancel_event.is_set() or (
+                    user_should_stop is not None and user_should_stop()):
+                stopped.set()
                 return True
-            return user_should_stop() if user_should_stop is not None else False
+            return False
 
         def on_progress(progress: SearchProgress) -> None:
             job._record_progress(progress)
@@ -806,22 +750,22 @@ class JobManager:
         except Exception:  # noqa: BLE001 - a job failure must not kill the worker
             job._transition(JobState.FAILED, error=traceback.format_exc(limit=20))
             return
-        # Publish the result with the caller's config: the run config's
-        # observer closures capture this job (and so both snapshot tables),
-        # which must not be pinned by the cache or handed back to clients.
-        result = replace(outcome.result, config=config)
-        outcome = replace(outcome, result=result, idempotency_key=job.key)
+        if outcome.result is not None:
+            # Hand the result back with the caller's config: the run config's
+            # observer closures capture this job (and so both snapshot
+            # tables).  Baseline tiers answer without a search result.
+            outcome = replace(outcome, result=replace(outcome.result, config=config))
+        outcome = replace(outcome, idempotency_key=job.key)
         if config_overridden:
             # The run's configuration was supplied explicitly, so the
             # request's named base did not determine it — don't claim it did.
             outcome = _without_base_config(outcome)
-        if result.cancelled or job._cancel_event.is_set():
-            job._transition(JobState.CANCELLED, result=result, outcome=outcome)
+        if stopped.is_set() or job._cancel_event.is_set():
+            job._transition(JobState.CANCELLED, outcome=outcome)
             return
         if use_cache:
-            self.cache.put(job.key, result)
-            self._store_publish(job, outcome)
-        job._transition(JobState.DONE, result=result, outcome=outcome)
+            self.store.put_outcome(job.key, outcome)
+        job._transition(JobState.DONE, outcome=outcome)
 
     # ------------------------------------------------------------------ #
     # queries and control

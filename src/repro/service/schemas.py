@@ -135,65 +135,32 @@ class ResultView:
 
     @classmethod
     def from_job(cls, job) -> "ResultView":
-        result = job.result
         outcome = job.outcome
-        if result is None and outcome is None:
+        if outcome is None:
             raise ValueError(f"job {job.id} has no result")
-        if result is not None:
-            cancelled = result.cancelled
-            cost = result.cost
-            trivial_cost = result.trivial_cost
-            compression_ratio = result.compression_ratio
-            expansions = result.expansions
-            generated_states = result.generated_states
-            runtime_seconds = result.runtime_seconds
-            explanation = explanation_to_dict(result.explanation)
-            column_cache = (
-                None if result.cache_stats is None else result.cache_stats.as_dict()
-            )
-            blocking_cache = (
-                None if getattr(result, "blocking_cache", None) is None
-                else dict(result.blocking_cache)
-            )
-        else:
-            # A store-hit on this replica: the outcome crossed the
-            # serialization boundary, so there is no live AffidavitResult —
-            # every field below survives the outcome round-trip.
-            cancelled = outcome.cancelled
-            cost = outcome.cost
-            trivial_cost = outcome.trivial_cost
-            compression_ratio = outcome.compression_ratio
-            expansions = outcome.expansions
-            generated_states = outcome.generated_states
-            runtime_seconds = outcome.timings.search_seconds
-            explanation = explanation_to_dict(outcome.explanation)
-            column_cache = (
-                None if outcome.cache is None else outcome.cache.as_dict()
-            )
-            blocking_cache = (
-                None if outcome.blocking_cache is None
-                else dict(outcome.blocking_cache)
-            )
         return cls(
             job_id=job.id,
             name=job.name,
             cache_hit=job.cache_hit,
-            cancelled=cancelled,
-            cost=cost,
-            trivial_cost=trivial_cost,
-            compression_ratio=compression_ratio,
-            expansions=expansions,
-            generated_states=generated_states,
-            runtime_seconds=runtime_seconds,
-            explanation=explanation,
-            column_cache=column_cache,
-            blocking_cache=blocking_cache,
-            timings=None if outcome is None else outcome.timings.to_dict(),
-            provenance=None if outcome is None else outcome.provenance.to_dict(),
-            tier=None if outcome is None else outcome.provenance.tier,
-            confidence=None if outcome is None else outcome.provenance.confidence,
+            cancelled=outcome.cancelled,
+            cost=outcome.cost,
+            trivial_cost=outcome.trivial_cost,
+            compression_ratio=outcome.compression_ratio,
+            expansions=outcome.expansions,
+            generated_states=outcome.generated_states,
+            runtime_seconds=outcome.timings.search_seconds,
+            explanation=explanation_to_dict(outcome.explanation),
+            column_cache=None if outcome.cache is None else outcome.cache.as_dict(),
+            blocking_cache=(
+                None if outcome.blocking_cache is None
+                else dict(outcome.blocking_cache)
+            ),
+            timings=outcome.timings.to_dict(),
+            provenance=outcome.provenance.to_dict(),
+            tier=outcome.provenance.tier,
+            confidence=outcome.provenance.confidence,
             tiers=(
-                None if outcome is None or outcome.tiers is None
+                None if outcome.tiers is None
                 else [attempt.to_dict() for attempt in outcome.tiers]
             ),
         )

@@ -3,13 +3,14 @@
 Endpoints
 ---------
 ``GET /healthz``
-    Liveness plus pool/cache/store/admission statistics — suitable for
-    load-balancer checks.
+    Liveness plus pool/store/admission statistics — suitable for
+    load-balancer checks (``cache`` and ``store`` both report the one result
+    store's counters).
 ``POST /v1/explain``
     Submit a snapshot pair (inline CSV or server-side paths).  Responds
-    ``202 Accepted`` with the job view, or ``200 OK`` when the idempotency
-    cache or the shared result store already holds the result
-    (``cache_hit: true``; ``store_hit: true`` when a shared store answered).
+    ``202 Accepted`` with the job view, or ``200 OK`` when the result store
+    already holds the exact answer (``cache_hit`` and ``store_hit`` both
+    ``true``).
     Over-capacity submissions get ``429`` + ``Retry-After`` — from the
     bounded job queue or from the per-client token-bucket quota (clients
     identified by the ``X-Client-Id`` header).
@@ -56,7 +57,13 @@ from typing import Any, Callable, Dict, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
-from ..api import TERMINAL_FRAME_KINDS, heartbeat_frame, make_frame
+from ..api import (
+    TERMINAL_FRAME_KINDS,
+    ResultStore,
+    heartbeat_frame,
+    make_frame,
+    open_store,
+)
 from ..export import explanation_to_sql, render_report
 from ..obs import PROM_CONTENT_TYPE, get_registry, render_prometheus
 from .jobs import AdmissionError, JobManager, JobNotFound, JobState, logger
@@ -66,7 +73,6 @@ from .schemas import (
     ResultView,
     ValidationError,
 )
-from .store import ResultStore, open_store
 
 #: Default request-body cap; override per server via ``max_body_bytes``.
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -367,7 +373,7 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     def _health_payload(self) -> Dict[str, Any]:
         manager = self.server.manager
-        store = manager.store
+        store = manager.store.stats().to_dict()
         quotas = self.server.quotas
         return {
             "status": "ok",
@@ -375,8 +381,8 @@ class _Handler(BaseHTTPRequestHandler):
             "workers": manager.workers,
             "uptime_seconds": round(time.time() - self.server.started_at, 3),
             "jobs": manager.counts(),
-            "cache": manager.cache.stats().to_dict(),
-            "store": None if store is None else store.stats().to_dict(),
+            "cache": store,
+            "store": store,
             "admission": {
                 "active": manager.active(),
                 "max_queue_depth": manager.max_queue_depth,
@@ -435,7 +441,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(500, "job_failed", job.error or "job failed",
                              state=state.value)
             return
-        if job.result is None and job.outcome is None:
+        if job.outcome is None:
             self._send_error(
                 409, "result_not_ready",
                 f"job is {state.value}; result not available yet",
@@ -446,8 +452,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         # sql/report rendering needs the snapshots; store-hit jobs have them
         # too (this replica materialised the request itself).
-        explanation = (job.result.explanation if job.result is not None
-                       else job.outcome.explanation)
+        explanation = job.outcome.explanation
         if fmt == "sql":
             table_name = query.get("table", [job.name])[0]
             script = explanation_to_sql(
@@ -668,10 +673,12 @@ def create_server(host: str = "127.0.0.1", port: int = 0, *,
                   heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS) -> AffidavitHTTPServer:
     """Build a ready-to-serve HTTP server (port 0 picks an ephemeral port).
 
-    *store* is either a live :class:`~repro.service.store.ResultStore`
+    *store* is either a live :class:`~repro.api.store.ResultStore`
     (shared with other replicas in-process; the caller closes it) or a spec
-    string for :func:`~repro.service.store.open_store` (``"memory"``,
+    string for :func:`~repro.api.store.open_store` (``"memory"``,
     ``"sqlite:PATH"`` or a bare path; the server closes it on shutdown).
+    Without one, the manager keeps an in-process memory store sized by
+    *cache_entries* / *cache_ttl*.
     *quota_rate*/*quota_burst* enable per-client token-bucket admission;
     *max_queue_depth* bounds admitted jobs (429 + ``Retry-After`` beyond).
     """
@@ -732,14 +739,14 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8080, *,
                            data_root=data_root, verbose=verbose,
                            max_body_bytes=max_body_bytes)
     bound_host, bound_port = server.server_address[:2]
-    manager_store = server.manager.store
     logger.info(
         "affidavit service listening on http://%s:%s "
-        "(%s workers, cache %s entries%s%s%s%s)",
+        "(%s workers, %s store%s%s%s)",
         bound_host, bound_port, workers,
-        cache_entries, "" if cache_ttl is None else f", ttl {cache_ttl:g}s",
-        "" if manager_store is None
-        else f", shared store {manager_store.backend}",
+        server.manager.store.backend,
+        "" if store is not None
+        else f" of {cache_entries} entries"
+        + ("" if cache_ttl is None else f", ttl {cache_ttl:g}s"),
         "" if max_queue_depth is None else f", queue depth {max_queue_depth}",
         "" if quota_rate is None else f", quota {quota_rate:g}/s",
     )

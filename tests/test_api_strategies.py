@@ -16,14 +16,16 @@ from repro.api import (
     ExplainRequest,
     ExplainSession,
     RequestValidationError,
+    MemoryResultStore,
     StrategyChain,
-    TierCache,
     TierResult,
+    idempotency_key,
 )
 from repro.api.outcome import Provenance
 from repro.core import Affidavit, identity_configuration
 from repro.datagen import generate_problem_instance
 from repro.datagen.datasets import load_dataset
+from repro.dataio import to_csv_text
 
 SOURCE_CSV = "id,val\n1,100\n2,200\n3,300\n"
 TARGET_CSV = "id,val\n1,1\n2,2\n3,3\n"
@@ -167,35 +169,98 @@ class TestProvenanceTierStrictness:
 
 
 # --------------------------------------------------------------------- #
-# the tier cache
+# the cache tier: the session's result store
 # --------------------------------------------------------------------- #
-class TestTierCache:
-    def test_path_requests_are_not_cacheable(self):
-        request = ExplainRequest(source_path="a.csv", target_path="b.csv")
-        assert TierCache.key_for(request) is None
+@pytest.fixture(scope="module")
+def flight_request():
+    """A 40-record Figure-5 pair whose answer moves with config and pool."""
+    generated = generate_problem_instance(
+        load_dataset("flight-500k", 40, seed=3), eta=0.3, tau=0.3, seed=3,
+        name="flight",
+    )
+    return ExplainRequest(
+        source_csv=to_csv_text(generated.instance.source),
+        target_csv=to_csv_text(generated.instance.target),
+    )
 
-    def test_use_cache_false_disables_keying(self):
-        assert TierCache.key_for(inline_request(use_cache=False)) is None
 
-    def test_key_is_budget_stripped(self):
-        plain = inline_request()
-        budgeted = inline_request(budget=ExplainBudget(deadline_ms=50),
-                                  strategy=("greedy", "full"))
-        assert TierCache.key_for(plain) == TierCache.key_for(budgeted)
-        assert TierCache.key_for(plain) == plain.canonical_key()
+class TestSessionStore:
+    @pytest.mark.parametrize("derive", [
+        lambda session: session.with_config("hid", seed=99, alpha=0.9),
+        lambda session: session.with_functions("identity"),
+    ], ids=["config", "functions"])
+    def test_clone_with_other_config_or_pool_is_not_served_the_parent_answer(
+            self, flight_request, derive):
+        parent = ExplainSession().with_budget(60_000)
+        parent.explain(flight_request)
+        clone = derive(parent).explain(flight_request)
+        fresh = derive(ExplainSession().with_budget(60_000)).explain(flight_request)
+        assert clone.provenance.tier == "full"
+        assert clone.cost == fresh.cost
+        assert clone.explanation == fresh.explanation
+        # ... and the clone's own repeat is a hit under its own key.
+        assert derive(parent).explain(flight_request).provenance.tier == "cache"
 
-    def test_lru_eviction(self):
-        cache = TierCache(max_entries=2)
-        cache.put("a", "A")
-        cache.put("b", "B")
-        assert cache.get("a") == "A"  # refresh a
-        cache.put("c", "C")           # evicts b
-        assert cache.get("b") is None
-        assert cache.get("a") == "A" and cache.get("c") == "C"
+    def test_path_request_is_served_by_the_cache_tier(self, tmp_path):
+        (tmp_path / "s.csv").write_text(SOURCE_CSV, encoding="utf-8")
+        (tmp_path / "t.csv").write_text(TARGET_CSV, encoding="utf-8")
+        session = ExplainSession().with_data_root(tmp_path).with_budget(60_000)
+        request = ExplainRequest(source_path="s.csv", target_path="t.csv")
+        first = session.explain(request)
+        second = session.explain(request)
+        assert first.provenance.tier == "full"
+        assert second.provenance.tier == "cache"
+        assert second.provenance.confidence == "cached"
+        assert second.explanation == first.explanation
+        # The same parsed content inline hits the same entry.
+        inline = session.explain(inline_request())
+        assert inline.provenance.tier == "cache"
 
-    def test_rejects_nonsense_capacity(self):
-        with pytest.raises(ValueError):
-            TierCache(max_entries=0)
+    def test_stored_outcome_equals_a_fresh_run(self, flight_request):
+        session = ExplainSession().with_budget(60_000, strategy=("cache", "full"))
+        fresh = session.explain(flight_request)
+        instance, _ = session._materialise(flight_request)
+        key = idempotency_key(instance.source, instance.target,
+                              session.resolve_config(flight_request),
+                              tuple(instance.registry.names))
+        stored = ExplainOutcome.from_dict(session._store.get(key))
+        for field in ("explanation", "cost", "trivial_cost", "expansions",
+                      "generated_states", "cancelled", "cache",
+                      "blocking_cache"):
+            assert getattr(stored, field) == getattr(fresh, field), field
+        assert stored.provenance == fresh.provenance
+        assert stored.timings.search_seconds == fresh.timings.search_seconds
+        hit = session.explain(flight_request)
+        assert hit.provenance.tier == "cache"
+        assert (hit.explanation, hit.cost, hit.expansions) == \
+            (fresh.explanation, fresh.cost, fresh.expansions)
+        hit.explanation.validate(hit.instance)
+
+    def test_only_exact_answers_are_stored(self, flight_request):
+        greedy = ExplainSession().with_budget(None, strategy=("greedy",))
+        greedy.explain(flight_request)
+        assert greedy._store.stats().puts == 0
+        cut = ExplainSession().with_budget(
+            ExplainBudget(deadline_ms=0.001), strategy=("full",))
+        outcome = cut.explain(flight_request)
+        assert outcome.provenance.confidence == "partial"
+        assert cut._store.stats().puts == 0
+        repeat = cut.with_budget(60_000).explain(flight_request)
+        assert repeat.provenance.tier != "cache"
+
+    def test_use_cache_false_skips_the_store(self):
+        session = ExplainSession().with_budget(60_000)
+        session.explain(inline_request())
+        outcome = session.explain(inline_request(use_cache=False))
+        attempts = {a.tier: a for a in outcome.tiers}
+        assert attempts["cache"].status == "skipped"
+        assert attempts["cache"].detail == "use_cache=false"
+        assert outcome.provenance.tier == "full"
+
+    def test_memory_store_is_the_session_store(self):
+        assert isinstance(ExplainSession()._store, MemoryResultStore)
+        session = ExplainSession()
+        assert session.with_budget(50)._store is session._store
 
 
 # --------------------------------------------------------------------- #
@@ -222,7 +287,7 @@ class TestStrategyChain:
         assert "tier" in outcome.summary()
         assert "strategy chain" in outcome.summary()
 
-    def test_second_identical_request_is_served_from_the_tier_cache(self):
+    def test_second_identical_request_is_served_from_the_cache_tier(self):
         session = ExplainSession().with_budget(60_000)
         first = session.explain(inline_request())
         second = session.explain(inline_request())

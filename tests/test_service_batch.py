@@ -71,6 +71,28 @@ def test_run_batch_reuses_shared_manager_cache(pair_dir):
         assert all(o.state == "done" for o in second)
 
 
+def test_store_answered_pairs_report_costs_and_write_outputs(pair_dir, tmp_path):
+    from repro.service import MemoryResultStore
+
+    store = MemoryResultStore()
+    with JobManager(workers=2, store=store) as manager:
+        fresh = run_batch(pair_dir, manager=manager)
+    output_dir = tmp_path / "out"
+    # A second manager over the same store: every pair is a store hit.
+    with JobManager(workers=2, store=store) as manager:
+        replayed = run_batch(pair_dir, manager=manager, output_dir=output_dir)
+    assert all(o.cache_hit for o in replayed)
+    for before, after in zip(fresh, replayed):
+        assert after.cost is not None and after.cost == before.cost
+        assert after.trivial_cost == before.trivial_cost
+        assert after.compression_ratio == before.compression_ratio
+        assert after.runtime_seconds == before.runtime_seconds
+        payload = json.loads(
+            (output_dir / f"{after.name}.explanation.json").read_text())
+        assert payload["cost"] == before.cost
+        assert payload["explanation"]["functions"]["val"]["meta"] == "division"
+
+
 def test_corrupt_pair_fails_without_sinking_the_batch(pair_dir):
     (pair_dir / "broken_source.csv").write_text("a,b\n1,2\n3\n", encoding="utf-8")
     (pair_dir / "broken_target.csv").write_text("a,b\n1,2\n", encoding="utf-8")

@@ -1,4 +1,5 @@
-"""Idempotency cache: keying, hit/miss accounting, TTL expiry, LRU eviction."""
+"""The result store's key and its in-process backend: keying, hit/miss
+accounting, TTL expiry, LRU eviction."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import pytest
 
 from repro.core import identity_configuration, overlap_configuration
 from repro.dataio import Schema, Table, read_csv_text
-from repro.service import ResultCache, idempotency_key
+from repro.service import MemoryResultStore, idempotency_key
 
 
 @pytest.fixture
@@ -95,69 +96,58 @@ def test_key_depends_on_registry_names(pair):
 
 
 # --------------------------------------------------------------------- #
-# cache behaviour
+# the in-process store
 # --------------------------------------------------------------------- #
 def test_get_miss_then_hit():
-    cache = ResultCache(max_entries=4)
-    assert cache.get("k") is None
-    cache.put("k", "value")
-    assert cache.get("k") == "value"
-    stats = cache.stats()
+    store = MemoryResultStore(max_entries=4)
+    assert store.get("k") is None
+    store.put("k", {"v": "value"})
+    assert store.get("k") == {"v": "value"}
+    stats = store.stats()
     assert stats.hits == 1
     assert stats.misses == 1
     assert stats.size == 1
-    assert stats.hit_rate == pytest.approx(0.5)
 
 
 def test_lru_eviction_order():
-    cache = ResultCache(max_entries=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert cache.get("a") == 1          # refresh 'a'; 'b' is now LRU
-    cache.put("c", 3)
-    assert cache.get("b") is None       # evicted
-    assert cache.get("a") == 1
-    assert cache.get("c") == 3
-    assert cache.stats().evictions == 1
+    store = MemoryResultStore(max_entries=2)
+    store.put("a", {"v": 1})
+    store.put("b", {"v": 2})
+    assert store.get("a") == {"v": 1}   # refresh 'a'; 'b' is now LRU
+    store.put("c", {"v": 3})
+    assert store.get("b") is None       # evicted
+    assert store.get("a") == {"v": 1}
+    assert store.get("c") == {"v": 3}
+    assert store.stats().size == 2
 
 
 def test_put_existing_key_updates_without_eviction():
-    cache = ResultCache(max_entries=2)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    cache.put("a", 10)
-    assert cache.get("a") == 10
-    assert cache.get("b") == 2
-    assert cache.stats().evictions == 0
+    store = MemoryResultStore(max_entries=2)
+    store.put("a", {"v": 1})
+    store.put("b", {"v": 2})
+    store.put("a", {"v": 10})
+    assert store.get("a") == {"v": 10}
+    assert store.get("b") == {"v": 2}
+    assert store.stats().size == 2
 
 
 def test_ttl_expiry():
     clock = FakeClock()
-    cache = ResultCache(max_entries=4, ttl_seconds=10.0, clock=clock)
-    cache.put("k", "value")
+    store = MemoryResultStore(max_entries=4, ttl_seconds=10.0, clock=clock)
+    store.put("k", {"v": "value"})
     clock.advance(9.0)
-    assert cache.get("k") == "value"
+    assert store.get("k") == {"v": "value"}
     clock.advance(2.0)
-    assert cache.get("k") is None
-    stats = cache.stats()
-    assert stats.expirations == 1
+    assert store.get("k") is None
+    stats = store.stats()
+    assert stats.misses == 1
     assert stats.size == 0
-
-
-def test_clear_and_len():
-    cache = ResultCache(max_entries=4)
-    cache.put("a", 1)
-    cache.put("b", 2)
-    assert len(cache) == 2
-    cache.clear()
-    assert len(cache) == 0
-    assert cache.get("a") is None
 
 
 def test_constructor_validation():
     with pytest.raises(ValueError):
-        ResultCache(max_entries=0)
+        MemoryResultStore(max_entries=0)
     with pytest.raises(ValueError):
-        ResultCache(ttl_seconds=0.0)
+        MemoryResultStore(ttl_seconds=0.0)
     with pytest.raises(ValueError):
-        ResultCache(ttl_seconds=-1.0)
+        MemoryResultStore(ttl_seconds=-1.0)

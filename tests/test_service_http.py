@@ -403,6 +403,40 @@ def test_budgeted_v2_request_reports_the_answering_tier(base_url):
     assert "repro_jobs_answered_by_tier_total" in text
 
 
+@pytest.mark.parametrize("strategy, confidence", [
+    ("trivial", "trivial"),
+    ("keyed_diff", "baseline"),
+])
+def test_baseline_strategy_request_ends_done_with_its_tier(base_url, strategy,
+                                                           confidence):
+    body = explain_body(41, schema_version="affidavit.request/v2",
+                        strategy=[strategy])
+    for _ in range(2):  # the repeat is not a store hit: baselines are not stored
+        status, view = request(base_url, "POST", "/v1/explain", body)
+        assert status == 202
+        final = wait_for_state(base_url, view["id"], {"done", "failed"})
+        assert final["state"] == "done", final["error"]
+        status, result = request(base_url, "GET",
+                                 f"/v1/jobs/{view['id']}/result")
+        assert status == 200
+        assert result["tier"] == strategy
+        assert result["confidence"] == confidence
+        assert result["cost"] <= result["trivial_cost"]
+
+
+def test_greedy_request_repeat_is_not_replayed_as_exact(base_url):
+    body = explain_body(43, schema_version="affidavit.request/v2",
+                        strategy=["greedy"])
+    for _ in range(2):
+        status, view = request(base_url, "POST", "/v1/explain", body)
+        assert status == 202
+        wait_for_state(base_url, view["id"], {"done"})
+        status, result = request(base_url, "GET",
+                                 f"/v1/jobs/{view['id']}/result")
+        assert result["cache_hit"] is False
+        assert (result["tier"], result["confidence"]) == ("greedy", "approximate")
+
+
 def test_v1_payload_must_not_smuggle_budget_fields(base_url):
     # No schema_version tag means v1 — budget/strategy are a clean 400,
     # not a silently ignored field or a 500.

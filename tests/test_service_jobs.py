@@ -98,13 +98,19 @@ def test_repeated_submission_hits_cache(pair):
         second = manager.submit(source, target)
         assert second.state is JobState.DONE
         assert second.cache_hit is True
-        assert second.result is first.result
-        assert manager.cache.stats().hits == 1
+        assert second.store_hit is True
+        # Every hit is rebuilt from the stored payload: same answer, no live
+        # search result.
+        assert second.result is None
+        assert second.outcome.explanation == first.outcome.explanation
+        assert second.outcome.cost == first.outcome.cost
+        assert manager.store.stats().hits == 1
 
 
 def test_published_result_carries_clean_config(pair):
     """The manager's observer wrappers (which close over the job and its
-    tables) must not leak into the stored/cached result."""
+    tables) must not leak into the result handed back, and the store holds
+    JSON only."""
     source, target = pair
     config = identity_configuration()
     with JobManager(workers=1) as manager:
@@ -113,8 +119,9 @@ def test_published_result_carries_clean_config(pair):
         assert job.result.config == config
         assert job.result.config.should_stop is None
         assert job.result.config.progress_callback is None
-        cached = manager.cache.get(job.key)
-        assert cached.config.should_stop is None
+        stored = manager.store.get(job.key)
+        assert stored["cost"] == job.outcome.cost
+        assert stored["request"] is None and stored["trace"] is None
 
 
 def test_terminal_jobs_are_pruned_beyond_retention_bound(pair):
@@ -165,7 +172,7 @@ def test_failing_search_marks_job_failed(pair):
         assert job.state is JobState.FAILED
         assert "observer exploded" in job.error
         assert job.result is None
-        assert len(manager.cache) == 0
+        assert manager.store.stats().size == 0
 
 
 def test_unknown_job_raises(pair):
@@ -219,8 +226,8 @@ def test_cancel_running_job_mid_search(pair):
         assert job.wait(30.0)
         assert job.state is JobState.CANCELLED
         assert job.result is not None and job.result.cancelled is True
-        # A cancelled (partial) run must never poison the idempotency cache.
-        assert len(manager.cache) == 0
+        # A cancelled (partial) run must never poison the result store.
+        assert manager.store.stats().size == 0
 
 
 def test_cancel_queued_job_never_runs(pair):
@@ -325,16 +332,23 @@ class TestSubmitRequest:
             assert job.result.config.should_stop is None
             assert job.result.config.progress_callback is None
 
-    def test_key_is_derived_from_the_canonical_request_hash(self, request_files, pair):
-        from repro.api import ExplainRequest
-        from repro.service import request_idempotency_key
+    def test_key_is_the_content_key(self, request_files, pair):
+        from repro.api import ExplainRequest, resolve_config
+        from repro.functions import default_registry
+        from repro.service import idempotency_key
 
         source, target = pair
         request = ExplainRequest(source_path="s.csv", target_path="t.csv")
         with JobManager(workers=1) as manager:
             job = manager.submit_request(request, data_root=request_files)
-            assert job.key == request_idempotency_key(request, source, target)
+            assert job.key == idempotency_key(
+                source, target, resolve_config(request),
+                tuple(default_registry().names))
             assert request.canonical_key() != job.key  # table contents folded in
+            # The table-level entry point keys the same content the same way.
+            repeat = manager.submit(source.copy(), target.copy(),
+                                    config=resolve_config(request))
+            assert repeat.key == job.key
 
     def test_repeat_request_is_a_cache_hit(self, request_files):
         from repro.api import ExplainRequest
@@ -425,3 +439,102 @@ class TestSubmitRequest:
             repeat = manager.submit_request(request, data_root=request_files)
             assert repeat.cache_hit is True
             assert repeat.outcome.timings.load_seconds > 0.0
+
+
+# --------------------------------------------------------------------- #
+# budgeted and baseline requests (the strategy chain behind a job)
+# --------------------------------------------------------------------- #
+def _inline_request(**kwargs):
+    from repro.api import ExplainRequest
+
+    return ExplainRequest(
+        source_csv="id,val\n1,700\n2,1400\n3,2100\n4,2800\n",
+        target_csv="id,val\n1,7\n2,14\n3,21\n4,28\n",
+        **kwargs,
+    )
+
+
+@pytest.mark.parametrize("strategy, confidence", [
+    ("trivial", "trivial"),
+    ("keyed_diff", "baseline"),
+    ("similarity_linker", "baseline"),
+])
+def test_baseline_strategy_jobs_end_done_with_their_tier(strategy, confidence):
+    with JobManager(workers=1) as manager:
+        for attempt in range(2):
+            job = manager.submit_request(_inline_request(strategy=(strategy,)))
+            assert job.wait(60.0)
+            assert job.state is JobState.DONE, job.error
+            assert job.cache_hit is False  # a baseline answer is not stored
+            assert job.outcome.provenance.tier == strategy
+            assert job.outcome.provenance.confidence == confidence
+            assert job.result is None  # no search ran
+        assert manager.store.stats().puts == 0
+
+
+def test_deadline_cut_budget_answer_is_done_and_partial():
+    from repro.api import ExplainBudget
+
+    request = _inline_request(budget=ExplainBudget(deadline_ms=0.001),
+                              strategy=("full",))
+    with JobManager(workers=1) as manager:
+        job = manager.submit_request(request)
+        assert job.wait(60.0)
+        assert job.state is JobState.DONE, job.error
+        assert job.outcome.provenance.tier == "full"
+        assert job.outcome.provenance.confidence == "partial"
+        assert job.outcome.cancelled is True
+        # A deadline-cut answer is not exact, so it is never stored.
+        assert manager.store.stats().size == 0
+
+
+def test_caller_should_stop_still_cancels_the_job(pair):
+    source, target = pair
+    config = identity_configuration().with_overrides(should_stop=lambda: True)
+    with JobManager(workers=1) as manager:
+        job = manager.submit(source, target, config=config)
+        assert job.wait(30.0)
+        assert job.state is JobState.CANCELLED
+        assert manager.store.stats().size == 0
+
+
+def test_greedy_answer_is_not_replayed_as_exact():
+    with JobManager(workers=1) as manager:
+        first = manager.submit_request(_inline_request(strategy=("greedy",)))
+        assert first.wait(60.0) and first.state is JobState.DONE
+        repeat = manager.submit_request(_inline_request(strategy=("greedy",)))
+        assert repeat.wait(60.0) and repeat.state is JobState.DONE
+        assert repeat.cache_hit is False
+        assert repeat.outcome.provenance.tier == "greedy"
+        assert repeat.outcome.provenance.confidence == "approximate"
+
+
+def test_exact_budgeted_answer_serves_any_strategy():
+    """Budget and strategy are not part of the key: once the exact answer
+    is stored, every request over the same content gets it."""
+    with JobManager(workers=1) as manager:
+        exact = manager.submit_request(_inline_request())
+        assert exact.wait(60.0) and exact.state is JobState.DONE
+        repeat = manager.submit_request(
+            _inline_request(budget=60_000, strategy=("greedy", "full")))
+        assert repeat.state is JobState.DONE and repeat.store_hit is True
+        assert repeat.outcome.explanation == exact.outcome.explanation
+        assert repeat.outcome.provenance.confidence == "exact"
+        assert repeat.outcome.provenance.api_version == "affidavit.request/v2"
+
+
+def test_lone_surrogate_cell_is_keyed_and_explained():
+    """A lone surrogate survives CSV parsing; the content key and the
+    request hash must digest it instead of failing the submission."""
+    from repro.api import ExplainRequest
+
+    request = ExplainRequest(source_csv="A,B\n1\ud800,x\n2,y\n",
+                             target_csv="A,B\n1,X\n3,z\n",
+                             overrides={"max_expansions": 50})
+    with JobManager(workers=1) as manager:
+        job = manager.submit_request(request)
+        assert job.wait(60.0)
+        assert job.state is JobState.DONE, job.error
+        repeat = manager.submit_request(request)
+        assert repeat.cache_hit is True
+        assert repeat.outcome.explanation == job.outcome.explanation

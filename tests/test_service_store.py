@@ -1,9 +1,9 @@
-"""The shared result store: backends, spec parsing, and replica dedup.
+"""The result store: backends, spec parsing, and replica dedup.
 
-The L2 contract: anything a store returns has crossed the JSON
-serialization boundary, a second replica pointed at the same sqlite file
-answers identical requests without re-searching, and a restarted replica
-keeps serving results computed before the restart.
+The contract: anything a store returns has crossed the JSON serialization
+boundary, a second replica pointed at the same sqlite file answers
+identical requests without re-searching, and a restarted replica keeps
+serving results computed before the restart.
 """
 
 from __future__ import annotations
@@ -233,8 +233,8 @@ def test_two_http_replicas_deduplicate_via_store(tmp_path, pair):
             _time.sleep(0.02)
         assert view["state"] == "done"
 
-        # Replica B never saw the request: its L1 is cold, the shared store
-        # answers instead of a second search.
+        # Replica B never saw the request: the shared store answers instead
+        # of a second search.
         status, view = _http(urls[1], "POST", "/v1/explain", body)
         assert status == 200
         assert view["store_hit"] is True
