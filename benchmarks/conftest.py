@@ -10,49 +10,14 @@ where the trends bend).  Two environment variables control the scale:
 ``REPRO_BENCH_FULL``
     When set to ``1``, the Table-2 benchmark runs the full 17-dataset grid at
     the paper's record counts and with ten instances per cell.  Expect hours.
-
-Two command-line options control reproducibility and CI sizing:
-
-``--seed N``
-    Seed for dataset generation and the search configuration (default 13),
-    so the emitted ``BENCH_*.json`` files are reproducible run-to-run.
-``--quick``
-    Smoke mode for CI: smaller workloads and relaxed speedup gates.
-
-Benchmarks that produce machine-readable results register a payload in the
-session-scoped ``bench_json`` fixture; each entry is written to
-``benchmarks/BENCH_<name>.json`` at the end of the run (and uploaded as an
-artifact by the ``bench-smoke`` CI job).
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 
 import pytest
-
-
-def pytest_addoption(parser: "pytest.Parser") -> None:
-    parser.addoption(
-        "--seed", action="store", type=int, default=13,
-        help="seed for benchmark workload generation (default: 13)",
-    )
-    parser.addoption(
-        "--quick", action="store_true", default=False,
-        help="CI smoke mode: smaller workloads, relaxed perf gates",
-    )
-
-
-@pytest.fixture(scope="session")
-def bench_seed(request: "pytest.FixtureRequest") -> int:
-    return request.config.getoption("--seed")
-
-
-@pytest.fixture(scope="session")
-def quick_mode(request: "pytest.FixtureRequest") -> bool:
-    return request.config.getoption("--quick")
 
 
 def bench_scale() -> float:
@@ -88,24 +53,4 @@ def report_sink():
             handle.write(text)
         # Bypass pytest's capture so the tables appear in the console output.
         sys.__stdout__.write("\n\n" + text)
-        sys.__stdout__.flush()
-
-
-@pytest.fixture(scope="session")
-def bench_json():
-    """Machine-readable benchmark results, one ``BENCH_<name>.json`` each.
-
-    Tests assign ``bench_json["<name>"] = payload`` (or mutate a payload in
-    place across parametrized cases); every payload is serialised on session
-    teardown.
-    """
-    payloads: dict = {}
-    yield payloads
-    directory = os.path.dirname(__file__)
-    for name, payload in payloads.items():
-        path = os.path.join(directory, f"BENCH_{name}.json")
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        sys.__stdout__.write(f"\nwrote {path}\n")
         sys.__stdout__.flush()

@@ -50,12 +50,15 @@ def main() -> None:
 
     # 3. Re-running the same budgeted session hits the tier cache —
     #    identical answer, near-zero latency, confidence 'cached'.
-    #    (The cache keys on the request payload, so it only engages for
-    #    requests with inline CSV; instance runs recompute.)
+    #    (The store keys on the parsed tables, the resolved configuration
+    #    and the function pool, so instance runs hit it too.)
 
     # 4. A tight budget: the full search may be cut off, and the chain
     #    falls back to the best answer gathered so far (usually the
-    #    greedy shallow search, confidence 'approximate').
+    #    greedy shallow search, confidence 'approximate' — or 'trivial'
+    #    when it could not beat the trivial explanation's cost).  Here the
+    #    session's store already holds step 2's exact answer, so the cache
+    #    tier answers first.
     tight = session.with_budget(50).explain_instance(instance)
     show("Budget 50ms", tight)
     tight.explanation.validate(instance)

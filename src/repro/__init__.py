@@ -12,8 +12,7 @@ layer shared by the library, the CLI, the HTTP service and the batch runner:
 
 * :class:`~repro.api.ExplainRequest` — a frozen, versioned description of
   one run (snapshots inline or by path, configuration overrides, registry
-  subset, engine choice) with ``to_dict``/``from_dict`` round-trips and a
-  canonical hash that the service's idempotency keys derive from.
+  subset, engine choice) with ``to_dict``/``from_dict`` round-trips.
 * :class:`~repro.api.ExplainSession` (alias :class:`~repro.api.Session`) —
   the fluent facade owning registry resolution, engine dispatch and
   progress/cancellation wiring::

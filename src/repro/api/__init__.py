@@ -5,8 +5,7 @@ Every front door of the reproduction funnels work through this package:
 * :class:`ExplainRequest` — a frozen, versioned description of one run
   (snapshots inline or by path, configuration overrides, registry subset,
   engine choice, and — since schema v2 — an optional latency ``budget``
-  and tier ``strategy``) with ``to_dict`` / ``from_dict`` round-trips and a
-  canonical content hash (``outcome.idempotency_key`` of uncached runs).
+  and tier ``strategy``) with ``to_dict`` / ``from_dict`` round-trips.
 * :class:`ExplainSession` (alias :class:`Session`) — the fluent facade that
   owns registry resolution, engine dispatch and progress/cancellation
   wiring: ``Session().with_config("hid", seed=7).explain(request)``.

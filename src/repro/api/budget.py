@@ -45,7 +45,8 @@ DEFAULT_STRATEGY = TIERS
 #: — the width/depth-capped greedy search; ``partial`` — a full search that
 #: hit its deadline and was finalised from its best-so-far state;
 #: ``baseline`` — a non-learning baseline (keyed diff / similarity linker);
-#: ``trivial`` — the always-valid delete-everything explanation.
+#: ``trivial`` — the always-valid delete-everything explanation, or a greedy
+#: or deadline-cut answer that costs no less than it.
 CONFIDENCE_EXACT = "exact"
 CONFIDENCE_CACHED = "cached"
 CONFIDENCE_APPROXIMATE = "approximate"

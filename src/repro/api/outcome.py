@@ -207,10 +207,8 @@ class ExplainOutcome:
     #: Root span of the run when tracing was enabled (the per-phase tree the
     #: CLI ``--trace`` flag exports); ``None`` for untraced runs.
     trace: Optional[Span] = field(default=None, repr=False)
-    #: The key this answer is known by: the result-store key
-    #: (:func:`repro.api.store.idempotency_key`) for service jobs and store
-    #: hits, otherwise the canonical request hash; ``None`` for
-    #: instance-based library runs that never built a request.
+    #: The result-store key (:func:`repro.api.store.idempotency_key`) of
+    #: runs a store keyed — service jobs and store hits; ``None`` otherwise.
     idempotency_key: Optional[str] = None
     #: The originating request, when the run was request-driven.
     request: Optional[ExplainRequest] = None
@@ -278,7 +276,6 @@ class ExplainOutcome:
                     instance: Optional[ProblemInstance] = None,
                     registry_names: Tuple[str, ...] = (),
                     load_seconds: float = 0.0,
-                    idempotency_key: Optional[str] = None,
                     trace: Optional[Span] = None,
                     tier: str = TIER_FULL,
                     confidence: Optional[str] = None) -> "ExplainOutcome":
@@ -309,8 +306,6 @@ class ExplainOutcome:
             tier=tier,
             confidence=confidence,
         )
-        if idempotency_key is None and request is not None:
-            idempotency_key = request.canonical_key()
         phases = tuple(sorted(phase_totals(trace).items())) if trace is not None else ()
         blocking_cache = (
             dict(result.blocking_cache) if result.blocking_cache is not None else None
@@ -332,7 +327,6 @@ class ExplainOutcome:
             cache=result.cache_stats,
             blocking_cache=blocking_cache,
             trace=trace,
-            idempotency_key=idempotency_key,
             request=request,
             result=result,
             instance=instance,

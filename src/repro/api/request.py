@@ -5,18 +5,16 @@
 the batch runner all construct one and hand it to the same resolution code
 (:func:`resolve_config` / :func:`resolve_registry`).  The request is a frozen
 dataclass with a versioned JSON round-trip (:meth:`ExplainRequest.to_dict` /
-:meth:`ExplainRequest.from_dict`) and a canonical content hash
-(:meth:`ExplainRequest.canonical_key`).  Result caching does not key on the
-request: :func:`repro.api.store.idempotency_key` digests what the request
-resolves to — the parsed tables, the resolved configuration and the function
-pool — so transport, budget, strategy and execution hints never split it.
+:meth:`ExplainRequest.from_dict`).  Nothing keys on the request itself: the
+one result key, :func:`repro.api.store.idempotency_key`, digests what the
+request resolves to — the parsed tables, the resolved configuration and the
+function pool — so transport, budget, strategy and execution hints never
+split it.
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import json
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple
@@ -35,8 +33,7 @@ from .budget import ExplainBudget, validate_strategy
 from .errors import RequestValidationError, UnsupportedSchemaVersion
 
 #: The original request wire format.  A request that uses no v2 feature
-#: still serializes at this version, so its ``canonical_key()`` is
-#: byte-identical to pre-v2 builds.
+#: still serializes at this version, byte-identical to pre-v2 builds.
 SCHEMA_VERSION = "affidavit.request/v1"
 
 #: The budgeted wire format: v1 plus the ``budget`` and ``strategy`` fields.
@@ -75,10 +72,6 @@ BASE_CONFIGS = {
     "hid": identity_configuration,
     "hs": overlap_configuration,
 }
-
-#: Execution hints that do not influence the explanation and therefore stay
-#: out of the canonical hash.
-_NON_CANONICAL_FIELDS = ("name", "throttle_seconds", "use_cache", "priority")
 
 #: Bounds of the scheduling ``priority`` hint (higher runs earlier).
 PRIORITY_MIN, PRIORITY_MAX = -100, 100
@@ -136,8 +129,8 @@ class ExplainRequest:
     #: Scheduling hint for the service's job queue: higher-priority requests
     #: are dequeued first (ties run in submission order).  Like the other
     #: execution hints it never influences the explanation, so it stays out
-    #: of the canonical hash — and, unlike the v2 fields, it is accepted on
-    #: v1 payloads.
+    #: of the result key — and, unlike the v2 fields, it is accepted on v1
+    #: payloads.
     priority: int = 0
 
     def __post_init__(self) -> None:
@@ -307,13 +300,13 @@ class ExplainRequest:
         resolve_config(self)
 
     # ------------------------------------------------------------------ #
-    # serialization and identity
+    # serialization
     # ------------------------------------------------------------------ #
     @property
     def schema_version(self) -> str:
         """The version this request serializes at: the *lowest* one that can
         represent it.  A request using no v2 feature speaks v1, which keeps
-        its canonical key byte-identical to pre-v2 builds."""
+        its payload byte-identical to pre-v2 builds."""
         if self.budget is None and self.strategy is None:
             return SCHEMA_VERSION
         return SCHEMA_VERSION_V2
@@ -343,34 +336,6 @@ class ExplainRequest:
             payload["budget"] = None if self.budget is None else self.budget.to_dict()
             payload["strategy"] = None if self.strategy is None else list(self.strategy)
         return payload
-
-    def canonical_dict(self) -> Dict[str, Any]:
-        """The result-determining fields only — presentation metadata and
-        execution hints (``name``, ``throttle_seconds``, ``use_cache``,
-        ``priority``) are excluded so they cannot split the canonical
-        hash."""
-        payload = self.to_dict()
-        for field_name in _NON_CANONICAL_FIELDS:
-            payload.pop(field_name, None)
-        return payload
-
-    def canonical_json(self) -> str:
-        """Key-sorted, whitespace-free JSON of :meth:`canonical_dict`."""
-        return json.dumps(
-            self.canonical_dict(),
-            sort_keys=True, separators=(",", ":"), ensure_ascii=False,
-        )
-
-    def canonical_key(self) -> str:
-        """SHA-256 over :meth:`canonical_json` — stable across dict key order
-        and across the execution-hint fields.  It is the
-        ``outcome.idempotency_key`` of uncached request-driven runs; result
-        stores key on :func:`repro.api.store.idempotency_key` instead."""
-        # surrogatepass: a lone surrogate in a parsed CSV cell is data to
-        # hash, not a reason to fail the run.
-        return hashlib.sha256(
-            self.canonical_json().encode("utf-8", "surrogatepass")
-        ).hexdigest()
 
     # ------------------------------------------------------------------ #
     # materialisation

@@ -34,6 +34,8 @@ from .budget import (
     CONFIDENCE_CACHED,
     CONFIDENCE_EXACT,
     CONFIDENCE_LABELS,
+    CONFIDENCE_PARTIAL,
+    CONFIDENCE_TRIVIAL,
     DEFAULT_STRATEGY,
     STATUS_ANSWERED,
     STATUS_FAILED,
@@ -75,6 +77,19 @@ _TIER_ANSWERS = _metrics.counter(
     "Strategy-chain final answers by tier and confidence",
     ("tier", "confidence"),
 )
+
+
+def _labelled_by_content(outcome: ExplainOutcome) -> ExplainOutcome:
+    """*outcome* with a label that says what the answer is: an
+    ``approximate`` or ``partial`` answer no cheaper than the trivial
+    explanation is relabelled ``trivial``.  ``exact`` answers keep their
+    label."""
+    provenance = outcome.provenance
+    if provenance.confidence in (CONFIDENCE_APPROXIMATE, CONFIDENCE_PARTIAL) \
+            and outcome.cost >= outcome.trivial_cost:
+        return replace(outcome, provenance=replace(
+            provenance, confidence=CONFIDENCE_TRIVIAL))
+    return outcome
 
 
 @dataclass(frozen=True)
@@ -325,17 +340,17 @@ class StrategyChain:
         predicate = slice_deadline.should_stop()
         if predicate is not None:
             runner = runner.with_cancellation(predicate)
-        outcome = runner._execute(
+        outcome = _labelled_by_content(runner._execute(
             instance, request, load_seconds,
             tier=TIER_GREEDY, confidence=CONFIDENCE_APPROXIMATE,
-        )
+        ))
         detail = (
             f"width-1 search, {outcome.expansions} expansions"
             + (", deadline hit" if outcome.cancelled else "")
         )
         return TierResult(
             tier=TIER_GREEDY, status=STATUS_ANSWERED,
-            confidence=CONFIDENCE_APPROXIMATE,
+            confidence=outcome.provenance.confidence,
             elapsed_seconds=time.perf_counter() - started,
             detail=detail, outcome=outcome,
         )
@@ -355,9 +370,9 @@ class StrategyChain:
         predicate = deadline.should_stop()
         if predicate is not None:
             runner = runner.with_cancellation(predicate)
-        outcome = runner._execute(
+        outcome = _labelled_by_content(runner._execute(
             instance, request, load_seconds, tier=TIER_FULL,
-        )
+        ))
         confidence = outcome.provenance.confidence
         if confidence == CONFIDENCE_EXACT and self._caching(request):
             self._store.put_outcome(store_key(), outcome)

@@ -121,7 +121,6 @@ def _outcome(instance: ProblemInstance, explanation: Explanation, *,
             total_seconds=load_seconds + elapsed_seconds,
         ),
         provenance=provenance,
-        idempotency_key=None if request is None else request.canonical_key(),
         request=request,
         instance=instance,
     )

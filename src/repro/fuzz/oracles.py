@@ -20,7 +20,7 @@ not fuzzer errors.  The oracles:
     hands a real value the reserved ``NOT_APPLICABLE`` code.
 ``serialization_roundtrip``
     Requests and outcomes survive ``to_dict``/``from_dict`` through real
-    JSON, and the canonical request key is stable.
+    JSON.
 ``buffer_roundtrip``
     The binary columnar container (``pack_tables``/``unpack_tables`` and
     the on-disk snapshot cache) is a fixed
@@ -31,7 +31,9 @@ not fuzzer errors.  The oracles:
     exception.
 ``budget_respected``
     A budgeted run answers within a deadline-derived wall-clock envelope,
-    names a known tier/confidence, and its explanation is valid.
+    names a known tier/confidence whose label agrees with the cost (an
+    ``approximate`` or ``partial`` answer beats the trivial cost, a
+    ``trivial`` one does not), and its explanation is valid.
 ``payload_parses``
     ``ExplainRequest.from_dict`` on arbitrary decoded JSON either succeeds
     or raises ``RequestValidationError`` — never any other exception.
@@ -41,7 +43,8 @@ not fuzzer errors.  The oracles:
     500.  Accepted submissions are followed through ``/events``: the stream
     must never 5xx, every line must parse as an ``affidavit.event/v1`` frame
     with strictly increasing sequences, and the terminal frame's state must
-    match what polling the job reports.
+    match what polling the job reports.  A ``done`` job must then serve its
+    result as ``json``, ``sql`` and ``report`` with a 200.
 """
 
 from __future__ import annotations
@@ -58,7 +61,13 @@ from ..api import (
     RequestValidationError,
     parse_frame,
 )
-from ..api.budget import CONFIDENCE_LABELS, TIERS
+from ..api.budget import (
+    CONFIDENCE_APPROXIMATE,
+    CONFIDENCE_LABELS,
+    CONFIDENCE_PARTIAL,
+    CONFIDENCE_TRIVIAL,
+    TIERS,
+)
 from ..api.outcome import ExplainOutcome
 from ..core import Affidavit, ProblemInstance, identity_configuration
 from ..dataio import TableError
@@ -353,11 +362,6 @@ def serialization_roundtrip(pair: SnapshotPair, *, seed: int = 0) -> None:
                 oracle="serialization_roundtrip",
                 message="request changed across to_dict/from_dict",
             )
-        if rebuilt.canonical_key() != request.canonical_key():
-            raise OracleFailure(
-                oracle="serialization_roundtrip",
-                message="canonical_key unstable across the wire trip",
-            )
         session = ExplainSession()
         outcome = session.explain(request)
         outcome_wire = json.loads(json.dumps(outcome.to_dict()))
@@ -526,6 +530,15 @@ def budget_respected(pair: SnapshotPair, *, seed: int = 0,
                 oracle="budget_respected",
                 message=(f"unknown confidence "
                          f"{outcome.provenance.confidence!r}"),
+            )
+        confidence = outcome.provenance.confidence
+        at_trivial = outcome.cost >= outcome.trivial_cost
+        if (confidence in (CONFIDENCE_APPROXIMATE, CONFIDENCE_PARTIAL) and at_trivial) \
+                or (confidence == CONFIDENCE_TRIVIAL and not at_trivial):
+            raise OracleFailure(
+                oracle="budget_respected",
+                message=(f"labelled {confidence!r} at cost {outcome.cost} "
+                         f"against the trivial cost {outcome.trivial_cost}"),
             )
         outcome.explanation.validate(_instance(pair))
     except InputOutOfDomain:
@@ -749,6 +762,23 @@ class ServiceOracle:
                          f"says {view.get('state')!r}"),
                 detail=json.dumps({"frame": terminal.payload,
                                    "view": view})[:800],
+            )
+        if frame_state == "done":
+            self._check_results(base)
+
+    def _check_results(self, base: str) -> None:
+        """A done job serves its result in every format with a 200."""
+        for fmt in ("json", "sql", "report"):
+            url = f"{base}/result?format={fmt}"
+            status, raw = self._get(url)
+            if status == 200:
+                continue
+            if 400 <= status < 500:
+                self._assert_error_envelope(status, raw, url)
+            raise OracleFailure(
+                oracle="service_survives",
+                message=f"result of a done job as {fmt} answered HTTP {status}",
+                detail=raw[:500].decode("utf-8", "replace"),
             )
 
     def _delete(self, url: str) -> None:

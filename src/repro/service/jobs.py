@@ -412,8 +412,6 @@ class JobManager:
         default) disables the bound.  Submissions over it raise
         :class:`AdmissionError`.  Store hits bypass admission — they never
         occupy a worker.
-    default_config:
-        Configuration used for submissions that do not bring their own.
     max_retained_jobs:
         Upper bound on the job registry.  When a submission would exceed it,
         the oldest *terminal* jobs (and their snapshots/results) are dropped;
@@ -427,7 +425,6 @@ class JobManager:
                  cache_ttl: Optional[float] = None,
                  store: Optional[ResultStore] = None,
                  max_queue_depth: Optional[int] = None,
-                 default_config: Optional[AffidavitConfig] = None,
                  max_retained_jobs: int = 1024):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -442,7 +439,6 @@ class JobManager:
         self.store = store if store is not None else MemoryResultStore(
             max_entries=cache_entries, ttl_seconds=cache_ttl
         )
-        self._default_config = default_config or identity_configuration()
         self._jobs: Dict[str, Job] = {}
         self._lock = threading.Lock()
         self._counter = itertools.count(1)
@@ -480,7 +476,7 @@ class JobManager:
         """
         if self._closed:
             raise RuntimeError("JobManager is shut down")
-        config = config or self._default_config
+        config = config or identity_configuration()
         if registry is not None:
             instance = ProblemInstance(source=source, target=target,
                                        registry=registry, name=name)

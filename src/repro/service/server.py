@@ -344,7 +344,7 @@ class _Handler(BaseHTTPRequestHandler):
             request = ExplainRequest.from_dict(payload)
             # Everything enters the engine through repro.api: the manager
             # resolves config/registry and derives the idempotency key from
-            # the canonical request hash.
+            # the parsed tables, the resolved config and the function pool.
             job = self.server.manager.submit_request(
                 request, data_root=self.server.data_root
             )
@@ -637,7 +637,10 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_text(self, status: int, text: str,
                    content_type: str = "text/plain; charset=utf-8") -> None:
-        self._send_bytes(status, text.encode("utf-8"), content_type)
+        # backslashreplace: a lone surrogate in a CSV cell is rendered as
+        # its escape instead of failing the response.
+        self._send_bytes(status, text.encode("utf-8", errors="backslashreplace"),
+                         content_type)
 
     def _send_bytes(self, status: int, body: bytes, content_type: str,
                     extra_headers: Optional[Dict[str, str]] = None) -> None:

@@ -231,6 +231,12 @@ class TestSerialization:
         payload = json.loads(json.dumps(request.to_dict()))
         assert ExplainRequest.from_dict(payload) == request
 
+    def test_from_dict_ignores_key_order(self):
+        payload = inline_request(overrides={"seed": 3, "beta": 2}).to_dict()
+        shuffled = dict(reversed(list(payload.items())))
+        shuffled["overrides"] = dict(reversed(list(payload["overrides"].items())))
+        assert ExplainRequest.from_dict(payload) == ExplainRequest.from_dict(shuffled)
+
     def test_to_dict_carries_schema_version(self):
         assert inline_request().to_dict()["schema_version"] == SCHEMA_VERSION
 
@@ -325,58 +331,6 @@ class TestV2Serialization:
             inline_request(strategy=())
         with pytest.raises(RequestValidationError, match="unknown strategy"):
             inline_request(strategy=("warp",))
-
-    def test_v1_equivalent_request_keeps_its_canonical_key(self):
-        # The serialize-at-lowest-version rule: a request using no v2
-        # feature must hash exactly as it did before the v2 fields existed
-        # (its canonical dict carries no budget/strategy keys at all).
-        canonical = inline_request().canonical_dict()
-        assert "budget" not in canonical and "strategy" not in canonical
-
-    def test_budget_and_strategy_are_result_determining(self):
-        base = inline_request().canonical_key()
-        assert inline_request(budget=50).canonical_key() != base
-        assert inline_request(strategy=("greedy",)).canonical_key() != base
-
-
-# --------------------------------------------------------------------- #
-# canonical identity (idempotency-key base)
-# --------------------------------------------------------------------- #
-class TestCanonicalKey:
-    def test_stable_across_dict_key_order(self):
-        payload = inline_request(overrides={"seed": 3, "beta": 2}).to_dict()
-        shuffled = dict(reversed(list(payload.items())))
-        shuffled["overrides"] = dict(reversed(list(payload["overrides"].items())))
-        first = ExplainRequest.from_dict(payload)
-        second = ExplainRequest.from_dict(shuffled)
-        assert first == second
-        assert first.canonical_key() == second.canonical_key()
-
-    def test_execution_hints_do_not_change_the_key(self):
-        base = inline_request().canonical_key()
-        assert inline_request(name="other").canonical_key() == base
-        assert inline_request(use_cache=False).canonical_key() == base
-        assert inline_request(throttle_seconds=2.0).canonical_key() == base
-
-    @pytest.mark.parametrize("kwargs", [
-        {"overrides": {"seed": 99}},
-        {"config": "hs"},
-        {"engine": "rowwise"},
-        {"functions": ("identity", "division")},
-    ])
-    def test_result_determining_fields_change_the_key(self, kwargs):
-        assert inline_request(**kwargs).canonical_key() != inline_request().canonical_key()
-
-    def test_snapshot_content_changes_the_key(self):
-        changed = ExplainRequest(source_csv=SOURCE_CSV,
-                                 target_csv=TARGET_CSV + "3,3\n")
-        assert changed.canonical_key() != inline_request().canonical_key()
-
-    @settings(max_examples=40, deadline=None)
-    @given(request=request_strategy)
-    def test_key_survives_serialization(self, request):
-        rebuilt = ExplainRequest.from_dict(json.loads(json.dumps(request.to_dict())))
-        assert rebuilt.canonical_key() == request.canonical_key()
 
 
 class TestWireLeniency:

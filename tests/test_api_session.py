@@ -41,7 +41,7 @@ class TestExplain:
         assert function.meta_name == "division"
         assert outcome.result is not None
         assert outcome.instance is not None and outcome.instance.name == "div100"
-        assert outcome.idempotency_key is not None
+        assert outcome.idempotency_key is None  # no store keyed this run
         assert outcome.timings.total_seconds >= outcome.timings.search_seconds
 
     def test_path_request_with_data_root(self, tmp_path):

@@ -243,7 +243,8 @@ class TestSessionStore:
         cut = ExplainSession().with_budget(
             ExplainBudget(deadline_ms=0.001), strategy=("full",))
         outcome = cut.explain(flight_request)
-        assert outcome.provenance.confidence == "partial"
+        assert outcome.cancelled
+        assert outcome.provenance.confidence == "trivial"  # cut at the start
         assert cut._store.stats().puts == 0
         repeat = cut.with_budget(60_000).explain(flight_request)
         assert repeat.provenance.tier != "cache"
@@ -337,6 +338,45 @@ class TestStrategyChain:
         assert outcome.provenance.tier == "greedy"
         assert outcome.provenance.confidence == "approximate"
         outcome.explanation.validate(outcome.instance)
+
+    def test_tiny_budget_answer_at_the_trivial_cost_is_labelled_trivial(self):
+        # Greedy times out; the full search is cut before its first
+        # expansion and answers at the trivial cost.
+        request = inline_request(budget=ExplainBudget(deadline_ms=0.001))
+        outcome = ExplainSession().explain(request)
+        assert outcome.cost == outcome.trivial_cost
+        assert (outcome.provenance.tier, outcome.provenance.confidence) == \
+            ("full", "trivial")
+        attempts = {attempt.tier: attempt for attempt in outcome.tiers}
+        assert attempts["full"].confidence == "trivial"
+
+    def test_greedy_answer_at_the_trivial_cost_is_labelled_trivial(self):
+        # No function relates these snapshots: nothing beats the trivial
+        # explanation.
+        request = ExplainRequest(source_csv="id,val\n1,a\n2,b\n3,c\n",
+                                 target_csv="id,val\n7,x\n8,y\n9,z\n")
+        session = ExplainSession().with_budget(None, strategy=("greedy",))
+        outcome = session.explain(request)
+        assert outcome.cost == outcome.trivial_cost
+        assert (outcome.provenance.tier, outcome.provenance.confidence) == \
+            ("greedy", "trivial")
+        assert outcome.tiers[0].confidence == "trivial"
+
+    def test_only_answers_at_the_trivial_cost_are_relabelled(self):
+        from dataclasses import replace
+
+        from repro.api.strategies import _labelled_by_content
+
+        outcome = ExplainSession().explain(inline_request())
+        assert outcome.cost < outcome.trivial_cost
+        at_trivial = replace(outcome, cost=outcome.trivial_cost)
+        for confidence in ("approximate", "partial", "exact"):
+            provenance = replace(outcome.provenance, confidence=confidence)
+            below = replace(outcome, provenance=provenance)
+            assert _labelled_by_content(below).provenance.confidence == confidence
+            expected = "exact" if confidence == "exact" else "trivial"
+            relabelled = _labelled_by_content(replace(at_trivial, provenance=provenance))
+            assert relabelled.provenance.confidence == expected
 
     def test_chain_run_exposes_the_answering_tier(self):
         session = ExplainSession()
@@ -540,5 +580,6 @@ class TestCrossTierAgreement:
         greedy.explanation.validate(instance)
         assert greedy.cost >= full.cost
         assert greedy.cost <= greedy.trivial_cost
-        assert greedy.provenance.confidence == "approximate"
+        assert greedy.provenance.confidence == (
+            "trivial" if greedy.cost == greedy.trivial_cost else "approximate")
         assert full.provenance.confidence == "exact"

@@ -122,6 +122,24 @@ def test_explain_round_trip_json_sql_report(base_url):
     assert "div100" in report
 
 
+def test_lone_surrogate_cell_renders_in_every_format(base_url):
+    # The CSV parser accepts a lone surrogate; the text formats must still
+    # go out as valid UTF-8 instead of failing the response.  The cells sit
+    # in a deleted and an inserted record, so the SQL script spells them out.
+    body = {
+        "source_csv": "id,val\n1,700\n2,1400\n3,2100\n9,1\ud800\n",
+        "target_csv": "id,val\n1,7\n2,14\n3,21\n8,1\ud800\n",
+        "name": "surrogate",
+    }
+    status, view = request(base_url, "POST", "/v1/explain", body)
+    assert status in (200, 202)
+    wait_for_state(base_url, view["id"], {"done"})
+    for fmt in ("json", "sql", "report"):
+        status, _ = request(base_url, "GET",
+                            f"/v1/jobs/{view['id']}/result?format={fmt}")
+        assert status == 200, fmt
+
+
 def test_four_concurrent_jobs_complete(base_url):
     divisors = (2, 10, 100, 1000)
     job_ids = {}

@@ -344,7 +344,6 @@ class TestSubmitRequest:
             assert job.key == idempotency_key(
                 source, target, resolve_config(request),
                 tuple(default_registry().names))
-            assert request.canonical_key() != job.key  # table contents folded in
             # The table-level entry point keys the same content the same way.
             repeat = manager.submit(source.copy(), target.copy(),
                                     config=resolve_config(request))
@@ -472,7 +471,7 @@ def test_baseline_strategy_jobs_end_done_with_their_tier(strategy, confidence):
         assert manager.store.stats().puts == 0
 
 
-def test_deadline_cut_budget_answer_is_done_and_partial():
+def test_deadline_cut_budget_answer_is_done_and_trivial():
     from repro.api import ExplainBudget
 
     request = _inline_request(budget=ExplainBudget(deadline_ms=0.001),
@@ -482,7 +481,10 @@ def test_deadline_cut_budget_answer_is_done_and_partial():
         assert job.wait(60.0)
         assert job.state is JobState.DONE, job.error
         assert job.outcome.provenance.tier == "full"
-        assert job.outcome.provenance.confidence == "partial"
+        # Cut before its first expansion: the answer costs the trivial cost
+        # and is labelled so.
+        assert job.outcome.cost == job.outcome.trivial_cost
+        assert job.outcome.provenance.confidence == "trivial"
         assert job.outcome.cancelled is True
         # A deadline-cut answer is not exact, so it is never stored.
         assert manager.store.stats().size == 0
