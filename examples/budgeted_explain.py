@@ -65,7 +65,8 @@ def main() -> None:
 
     # 5. Pinning the strategy: skip straight to a baseline tier.  The
     #    keyed-diff explainer only keeps exact-match pairs, so its cost is
-    #    honest — here the reassigned keys leave it at the trivial cost.
+    #    honest — here the reassigned keys leave it at the trivial cost, and
+    #    its label says so: confidence 'trivial', not 'baseline'.
     baseline = session.with_budget(None, strategy=("keyed_diff", "trivial"))
     fallback = baseline.explain_instance(instance)
     show("Strategy pinned to baselines", fallback)

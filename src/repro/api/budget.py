@@ -45,8 +45,8 @@ DEFAULT_STRATEGY = TIERS
 #: — the width/depth-capped greedy search; ``partial`` — a full search that
 #: hit its deadline and was finalised from its best-so-far state;
 #: ``baseline`` — a non-learning baseline (keyed diff / similarity linker);
-#: ``trivial`` — the always-valid delete-everything explanation, or a greedy
-#: or deadline-cut answer that costs no less than it.
+#: ``trivial`` — the always-valid delete-everything explanation, or a
+#: greedy, deadline-cut or baseline answer that costs no less than it.
 CONFIDENCE_EXACT = "exact"
 CONFIDENCE_CACHED = "cached"
 CONFIDENCE_APPROXIMATE = "approximate"
@@ -62,6 +62,25 @@ CONFIDENCE_LABELS = (
     CONFIDENCE_BASELINE,
     CONFIDENCE_TRIVIAL,
 )
+
+#: Labels that give way to ``trivial`` on an answer no cheaper than the
+#: trivial explanation.  ``exact`` (and ``cached``, a stored exact answer)
+#: stay: at the trivial cost they say that nothing cheaper exists.
+_RELABELLED_AT_TRIVIAL_COST = (
+    CONFIDENCE_APPROXIMATE,
+    CONFIDENCE_PARTIAL,
+    CONFIDENCE_BASELINE,
+)
+
+
+def confidence_by_content(confidence: str, cost: float,
+                          trivial_cost: float) -> str:
+    """The label an answer of *cost* earns: *confidence*, or ``trivial``
+    when an approximate, partial or baseline answer is no cheaper than the
+    trivial explanation."""
+    if confidence in _RELABELLED_AT_TRIVIAL_COST and cost >= trivial_cost:
+        return CONFIDENCE_TRIVIAL
+    return confidence
 
 
 @dataclass(frozen=True)

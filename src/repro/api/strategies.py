@@ -34,8 +34,6 @@ from .budget import (
     CONFIDENCE_CACHED,
     CONFIDENCE_EXACT,
     CONFIDENCE_LABELS,
-    CONFIDENCE_PARTIAL,
-    CONFIDENCE_TRIVIAL,
     DEFAULT_STRATEGY,
     STATUS_ANSWERED,
     STATUS_FAILED,
@@ -47,6 +45,7 @@ from .budget import (
     Deadline,
     ExplainBudget,
     TierResult,
+    confidence_by_content,
     validate_strategy,
 )
 from .outcome import ExplainOutcome
@@ -80,16 +79,17 @@ _TIER_ANSWERS = _metrics.counter(
 
 
 def _labelled_by_content(outcome: ExplainOutcome) -> ExplainOutcome:
-    """*outcome* with a label that says what the answer is: an
-    ``approximate`` or ``partial`` answer no cheaper than the trivial
+    """*outcome* with a label that says what the answer is (see
+    :func:`~repro.api.budget.confidence_by_content`): an ``approximate``,
+    ``partial`` or ``baseline`` answer no cheaper than the trivial
     explanation is relabelled ``trivial``.  ``exact`` answers keep their
     label."""
     provenance = outcome.provenance
-    if provenance.confidence in (CONFIDENCE_APPROXIMATE, CONFIDENCE_PARTIAL) \
-            and outcome.cost >= outcome.trivial_cost:
-        return replace(outcome, provenance=replace(
-            provenance, confidence=CONFIDENCE_TRIVIAL))
-    return outcome
+    confidence = confidence_by_content(
+        provenance.confidence, outcome.cost, outcome.trivial_cost)
+    if confidence == provenance.confidence:
+        return outcome
+    return replace(outcome, provenance=replace(provenance, confidence=confidence))
 
 
 @dataclass(frozen=True)

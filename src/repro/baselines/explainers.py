@@ -35,6 +35,7 @@ from ..api.budget import (
     TIER_KEYED_DIFF,
     TIER_SIMILARITY,
     TIER_TRIVIAL,
+    confidence_by_content,
 )
 from ..api.outcome import ENGINE_BASELINE, ExplainOutcome, Provenance, Timings
 from ..api.request import SCHEMA_VERSION, ExplainRequest
@@ -49,7 +50,9 @@ class Explainer(Protocol):
     """Anything that can answer a problem instance with an outcome.
 
     ``name`` is the tier name the answer is attributed to, ``confidence``
-    the label its provenance carries.  :meth:`align` exposes the raw record
+    the label its provenance carries — unless the answer is no cheaper than
+    the trivial explanation, which is labelled ``trivial`` whatever tier
+    gave it.  :meth:`align` exposes the raw record
     alignment (before the exact-match filter) for accuracy studies.
     """
 
@@ -95,6 +98,8 @@ def _outcome(instance: ProblemInstance, explanation: Explanation, *,
              request: Optional[ExplainRequest],
              load_seconds: float) -> ExplainOutcome:
     alpha = 0.5  # the baselines have no α dial; cost at the paper's default
+    cost = explanation_cost(instance, explanation, alpha=alpha)
+    trivial_cost = trivial_explanation_cost(instance, alpha=alpha)
     provenance = Provenance(
         api_version=SCHEMA_VERSION if request is None else request.schema_version,
         engine=ENGINE_BASELINE,
@@ -106,12 +111,12 @@ def _outcome(instance: ProblemInstance, explanation: Explanation, *,
         n_attributes=instance.n_attributes,
         seed=0,
         tier=tier,
-        confidence=confidence,
+        confidence=confidence_by_content(confidence, cost, trivial_cost),
     )
     return ExplainOutcome(
         explanation=explanation,
-        cost=explanation_cost(instance, explanation, alpha=alpha),
-        trivial_cost=trivial_explanation_cost(instance, alpha=alpha),
+        cost=cost,
+        trivial_cost=trivial_cost,
         expansions=0,
         generated_states=0,
         cancelled=False,

@@ -352,9 +352,11 @@ class ColumnCache:
 
         Built once over the attribute's full distinct-value domain (the value
         map is extended to cover it), then reused by every blocking build,
-        refinement and ranking of the search.  Codes outside the source
-        domain are mapped to :data:`NOT_APPLICABLE_CODE`; consumers only ever
-        look up source codes.
+        refinement and ranking of the search.  The list is sized to the
+        largest source code, not to the codec, which keeps growing with every
+        candidate's transformed values.  Codes below it that are not source
+        codes map to :data:`NOT_APPLICABLE_CODE`; consumers only ever look up
+        source codes.
         """
         code_map = entry.code_map
         if code_map is not None:
@@ -362,15 +364,11 @@ class ColumnCache:
         _, values, source_codes = self._source_domain(attribute)
         mapping = entry.mapping
         self._extend_map(mapping, function, values)
-        codec = self.codec(attribute)
-        encode = codec.encode
-        pairs = [
-            (source_codes[position], encode(mapping[value]))
-            for position, value in enumerate(values)
-        ]
-        code_map = [NOT_APPLICABLE_CODE] * len(codec)
-        for source_code, transformed_code in pairs:
-            code_map[source_code] = transformed_code
+        encode = self.codec(attribute).encode
+        code_map = [NOT_APPLICABLE_CODE] * (
+            max(source_codes, default=NOT_APPLICABLE_CODE) + 1)
+        for source_code, value in zip(source_codes, values):
+            code_map[source_code] = encode(mapping[value])
         entry.code_map = code_map
         return code_map
 

@@ -14,7 +14,8 @@ formatting conventions so that all meta functions behave consistently:
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation, localcontext
+from decimal import Context, Decimal, InvalidOperation
+from functools import lru_cache
 from typing import Optional
 
 #: Cells equal to one of these strings are treated as missing values by the
@@ -22,12 +23,23 @@ from typing import Optional
 #: informative for blocking).
 MISSING_TOKENS = frozenset({"", "-", "?", "NULL", "null", "NaN", "nan", "None"})
 
+#: The arithmetic context of normalisation, division and multiplication:
+#: 34 significant digits (IEEE decimal128), otherwise the default context's
+#: rounding, exponent limits and traps.
+_PREC34 = Context(prec=34)
+
+#: Bound of each value-level memo.  Parsing and formatting are pure, and
+#: induction asks for the same cell over and over (once per value pair it
+#: takes part in), so each distinct value is analysed once.
+VALUE_CACHE_SIZE = 4096
+
 
 def is_missing(value: str) -> bool:
     """Return ``True`` if *value* denotes a missing/placeholder cell."""
     return value in MISSING_TOKENS
 
 
+@lru_cache(maxsize=VALUE_CACHE_SIZE)
 def parse_number(value: str) -> Optional[Decimal]:
     """Parse *value* as a decimal number, or return ``None``.
 
@@ -60,15 +72,16 @@ def is_numeric(value: str) -> bool:
     return parse_number(value) is not None
 
 
+@lru_cache(maxsize=VALUE_CACHE_SIZE, typed=True)
 def format_number(number: Decimal) -> str:
     """Render a :class:`~decimal.Decimal` using the library's conventions.
 
     Integral values are printed without a decimal point, fractional values
-    are normalised (no trailing zeros, no scientific notation).
+    are normalised (no trailing zeros, no scientific notation).  Equal
+    numbers (``1.5`` and ``1.50``, ``0`` and ``-0``) render alike, so the
+    memo may answer one with the other.
     """
-    with localcontext() as ctx:
-        ctx.prec = 34
-        normalized = number.normalize()
+    normalized = number.normalize(_PREC34)
     sign, digits, exponent = normalized.as_tuple()
     if exponent >= 0:
         # Normalisation can produce exponent notation for round numbers
@@ -96,10 +109,7 @@ def divide_strings(value: str, divisor: Decimal) -> Optional[str]:
     number = parse_number(value)
     if number is None:
         return None
-    with localcontext() as ctx:
-        ctx.prec = 34
-        result = number / divisor
-    return format_number(result)
+    return format_number(_PREC34.divide(number, divisor))
 
 
 def multiply_strings(value: str, factor: Decimal) -> Optional[str]:
@@ -107,10 +117,7 @@ def multiply_strings(value: str, factor: Decimal) -> Optional[str]:
     number = parse_number(value)
     if number is None:
         return None
-    with localcontext() as ctx:
-        ctx.prec = 34
-        result = number * factor
-    return format_number(result)
+    return format_number(_PREC34.multiply(number, factor))
 
 
 def common_prefix_length(left: str, right: str) -> int:

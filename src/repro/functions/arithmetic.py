@@ -15,6 +15,13 @@ from ..dataio import values as value_helpers
 from .base import AttributeFunction, MetaFunction
 
 
+def _as_decimal(value: Decimal | int | float | str) -> Decimal:
+    """*value* as a :class:`Decimal`; a ``Decimal`` is taken as is (its
+    ``str`` round trip is exact), anything else goes through ``str`` so
+    that floats keep their short decimal spelling."""
+    return value if type(value) is Decimal else Decimal(str(value))
+
+
 class Addition(AttributeFunction):
     """``x ↦ x + y`` on numeric cells; one parameter ``y`` (may be negative)."""
 
@@ -25,7 +32,7 @@ class Addition(AttributeFunction):
     def __init__(self, delta: Decimal | int | float | str):
         # Normalise so that equivalent parameters (e.g. 1E+3 and 1000) compare
         # and hash equal — important for aggregating induced candidates.
-        self._delta = Decimal(value_helpers.format_number(Decimal(str(delta))))
+        self._delta = Decimal(value_helpers.format_number(_as_decimal(delta)))
 
     @property
     def delta(self) -> Decimal:
@@ -54,7 +61,7 @@ class Division(AttributeFunction):
     __slots__ = ("_divisor",)
 
     def __init__(self, divisor: Decimal | int | float | str):
-        divisor = Decimal(str(divisor))
+        divisor = _as_decimal(divisor)
         if divisor == 0:
             raise ValueError("division by zero is not a valid attribute function")
         self._divisor = Decimal(value_helpers.format_number(divisor))
@@ -86,7 +93,7 @@ class Multiplication(AttributeFunction):
     __slots__ = ("_factor",)
 
     def __init__(self, factor: Decimal | int | float | str):
-        self._factor = Decimal(value_helpers.format_number(Decimal(str(factor))))
+        self._factor = Decimal(value_helpers.format_number(_as_decimal(factor)))
 
     @property
     def factor(self) -> Decimal:

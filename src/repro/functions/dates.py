@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import datetime as _dt
 import re
+from functools import lru_cache
 from typing import Iterable, List, Optional, Tuple
 
+from ..dataio.values import VALUE_CACHE_SIZE
 from .base import AttributeFunction, MetaFunction
 
 #: Formats the converter understands, ordered roughly by ambiguity (the least
@@ -33,8 +35,10 @@ _FORMATS: List[Tuple[str, str, re.Pattern]] = [
 _FORMAT_BY_NAME = {name: pattern for name, pattern, _ in _FORMATS}
 
 
-def detect_formats(value: str) -> List[str]:
-    """Names of every known format that parses *value* to a calendar date."""
+@lru_cache(maxsize=VALUE_CACHE_SIZE)
+def _detected_formats(value: str) -> Tuple[str, ...]:
+    """:func:`detect_formats` as a memoised tuple: induction asks about the
+    same cell once per value pair it takes part in."""
     matches = []
     for name, pattern, guard in _FORMATS:
         if not guard.match(value):
@@ -44,7 +48,12 @@ def detect_formats(value: str) -> List[str]:
         except ValueError:
             continue
         matches.append(name)
-    return matches
+    return tuple(matches)
+
+
+def detect_formats(value: str) -> List[str]:
+    """Names of every known format that parses *value* to a calendar date."""
+    return list(_detected_formats(value))
 
 
 def parse_date(value: str, format_name: str) -> Optional[_dt.date]:
@@ -121,8 +130,8 @@ class DateConversionMeta(MetaFunction):
     def induce(self, source_value: str, target_value: str) -> Iterable[AttributeFunction]:
         if source_value == target_value:
             return
-        source_formats = detect_formats(source_value)
-        target_formats = detect_formats(target_value)
+        source_formats = _detected_formats(source_value)
+        target_formats = _detected_formats(target_value)
         if not source_formats or not target_formats:
             return
         for source_format in source_formats:

@@ -30,8 +30,8 @@ class InductionMemo:
     value pairs recur across blocks, examples and — most importantly — search
     states, so the candidates of a pair are induced once and remembered.
     Every induced function is *interned* as a small int the first time it is
-    seen, and a value pair maps to the tuple of its candidates' ids in
-    registry order.  Counting generations then hashes ints instead of
+    seen, and a value pair maps to the tuple of its candidates' distinct ids
+    in registry order.  Counting generations then hashes ints instead of
     :class:`AttributeFunction` objects; ids map back to functions only for the
     returned counts.  One memo must only ever be used with a single registry;
     the state expander owns one per search.
@@ -56,14 +56,10 @@ class InductionMemo:
     def __len__(self) -> int:
         return len(self._pairs)
 
-    def _induced_ids(self, registry: FunctionRegistry, source_value: str,
+    def _induce_pair(self, registry: FunctionRegistry, source_value: str,
                      target_value: str) -> Tuple[int, ...]:
-        """Ids of all candidates of *registry* for one value pair."""
-        key = (source_value, target_value)
-        cached = self._pairs.get(key)
-        if cached is not None:
-            self.hits += 1
-            return cached
+        """Induce, intern and remember the candidates of one value pair: their
+        distinct ids in registry order."""
         self.misses += 1
         ids = self._ids
         functions = self._functions
@@ -75,7 +71,7 @@ class InductionMemo:
                     function_id = ids[function] = len(functions)
                     functions.append(function)
                 induced.append(function_id)
-        self._pairs[key] = result = tuple(induced)
+        self._pairs[source_value, target_value] = result = tuple(dict.fromkeys(induced))
         return result
 
     def generation_counts(
@@ -90,33 +86,47 @@ class InductionMemo:
         and iteration order equal a :class:`CandidatePool` fed the same
         examples: each example counts a candidate at most once, and the
         result iterates in first-generation order.  An example repeating
-        within the call reuses its deduplicated id tuple.
+        within the call reuses its deduplicated id tuple; an example whose
+        block holds one source value is that value pair's id tuple.
         """
         if len(self._pairs) >= self._max_entries:
             self._pairs.clear()
             self._ids.clear()
             self._functions.clear()
-        induced_ids = self._induced_ids
+        pair_ids = self._pairs.get
+        induce_pair = self._induce_pair
         values_by_block: Dict[Hashable, Sequence[str]] = {}
         per_example: Dict[Tuple[Hashable, str], Tuple[int, ...]] = {}
-        counts: Counter = Counter()
-        examples_seen = 0
-        for block_key, target_value in examples:
-            examples_seen += 1
-            key = (block_key, target_value)
-            example_ids = per_example.get(key)
+        seen: List[Tuple[int, ...]] = []
+        lookups = 0
+        misses = self.misses
+        for example in examples:
+            example_ids = per_example.get(example)
             if example_ids is None:
+                block_key, target_value = example
                 values = values_by_block.get(block_key)
                 if values is None:
                     values = values_by_block[block_key] = block_values(block_key)
-                example_ids = per_example[key] = tuple(dict.fromkeys(chain.from_iterable(
-                    induced_ids(registry, value, target_value) for value in values
-                )))
-            counts.update(example_ids)
+                parts = []
+                for value in values:
+                    ids = pair_ids((value, target_value))
+                    if ids is None:
+                        ids = induce_pair(registry, value, target_value)
+                    parts.append(ids)
+                lookups += len(parts)
+                # A pair's ids are distinct already, so a block with one
+                # source value needs no merge.
+                example_ids = per_example[example] = parts[0] if len(parts) == 1 \
+                    else tuple(dict.fromkeys(chain.from_iterable(parts)))
+            seen.append(example_ids)
+        self.hits += lookups - (self.misses - misses)
+        # One counting pass; it meets the ids in the order the examples
+        # generated them, so first-generation order is kept.
+        counts = Counter(chain.from_iterable(seen))
         functions = self._functions
         return (
             {functions[function_id]: count for function_id, count in counts.items()},
-            examples_seen,
+            len(seen),
         )
 
 

@@ -63,6 +63,7 @@ from ..api import (
 )
 from ..api.budget import (
     CONFIDENCE_APPROXIMATE,
+    CONFIDENCE_BASELINE,
     CONFIDENCE_LABELS,
     CONFIDENCE_PARTIAL,
     CONFIDENCE_TRIVIAL,
@@ -533,7 +534,8 @@ def budget_respected(pair: SnapshotPair, *, seed: int = 0,
             )
         confidence = outcome.provenance.confidence
         at_trivial = outcome.cost >= outcome.trivial_cost
-        if (confidence in (CONFIDENCE_APPROXIMATE, CONFIDENCE_PARTIAL) and at_trivial) \
+        if (confidence in (CONFIDENCE_APPROXIMATE, CONFIDENCE_PARTIAL,
+                           CONFIDENCE_BASELINE) and at_trivial) \
                 or (confidence == CONFIDENCE_TRIVIAL and not at_trivial):
             raise OracleFailure(
                 oracle="budget_respected",

@@ -33,7 +33,8 @@ with four service-specific twists:
 Every job also owns a :class:`JobEventBuffer` — a bounded, sequence-numbered
 buffer of ``affidavit.event/v1`` frames (started / progressed / terminal)
 that the worker's progress callback fills and ``GET /v1/jobs/<id>/events``
-streams.
+streams.  ``progressed`` frames are rate-limited: the first expansion gets
+one, later ones at most one per :data:`PROGRESS_FRAME_INTERVAL_S`.
 
 The workers are plain threads draining a :class:`queue.PriorityQueue`; the
 search is pure Python, but explain jobs spend their time in hash/loop-heavy
@@ -120,6 +121,13 @@ _ADMISSION_REJECTED = _job_metrics.counter(
     "Submissions rejected by admission control",
     ("reason",),
 )
+
+#: Least time between two ``progressed`` frames of one job.  A small search
+#: expands a state about once a millisecond, and publishing a frame for each
+#: expansion added several milliseconds to a 60-record job's wall time; the
+#: job's polled progress and the caller's ``progress_callback`` still see
+#: every expansion.
+PROGRESS_FRAME_INTERVAL_S = 0.1
 
 #: Queue priority of the shutdown sentinels — far below any request priority,
 #: so workers drain every admitted job before exiting.
@@ -712,16 +720,24 @@ class JobManager:
                 return True
             return False
 
+        # Monotonic time before which no further progressed frame is
+        # published; the first expansion always gets one.
+        next_frame_at = 0.0
+
         def on_progress(progress: SearchProgress) -> None:
+            nonlocal next_frame_at
             job._record_progress(progress)
-            job.events.append(
-                "progressed",
-                expansions=progress.expansions,
-                generated_states=progress.generated_states,
-                queue_size=progress.queue_size,
-                best_cost=progress.best_cost,
-                cache_hit_rate=round(progress.cache_hit_rate, 4),
-            )
+            now = time.monotonic()
+            if now >= next_frame_at:
+                next_frame_at = now + PROGRESS_FRAME_INTERVAL_S
+                job.events.append(
+                    "progressed",
+                    expansions=progress.expansions,
+                    generated_states=progress.generated_states,
+                    queue_size=progress.queue_size,
+                    best_cost=progress.best_cost,
+                    cache_hit_rate=round(progress.cache_hit_rate, 4),
+                )
             if user_progress is not None:
                 user_progress(progress)
             if throttle_seconds > 0:

@@ -315,11 +315,25 @@ class TestStrategyChain:
         assert statuses["greedy"] == "timeout"
 
     def test_baseline_only_strategy_answers_via_the_baseline(self):
+        # Two of three records are unchanged, so the keyed diff's answer
+        # beats the trivial explanation.
+        request = ExplainRequest(source_csv="id,val\n1,a\n2,b\n3,c\n",
+                                 target_csv="id,val\n1,a\n2,b\n4,d\n")
         session = ExplainSession().with_budget(None, strategy=("keyed_diff",))
-        outcome = session.explain(inline_request())
+        outcome = session.explain(request)
+        assert outcome.cost < outcome.trivial_cost
         assert outcome.provenance.tier == "keyed_diff"
         assert outcome.provenance.confidence == "baseline"
         assert outcome.provenance.engine == "baseline"
+
+    def test_baseline_answer_at_the_trivial_cost_is_labelled_trivial(self):
+        # Every value changed, so no exact-match pair survives.
+        session = ExplainSession().with_budget(None, strategy=("keyed_diff",))
+        outcome = session.explain(inline_request())
+        assert outcome.cost == outcome.trivial_cost
+        assert (outcome.provenance.tier, outcome.provenance.confidence) == \
+            ("keyed_diff", "trivial")
+        assert outcome.tiers[0].confidence == "trivial"
 
     def test_unreachable_strategy_falls_back_to_trivial(self):
         # A cache-only strategy with a cold cache answers with the implicit
@@ -370,7 +384,7 @@ class TestStrategyChain:
         outcome = ExplainSession().explain(inline_request())
         assert outcome.cost < outcome.trivial_cost
         at_trivial = replace(outcome, cost=outcome.trivial_cost)
-        for confidence in ("approximate", "partial", "exact"):
+        for confidence in ("approximate", "partial", "baseline", "exact"):
             provenance = replace(outcome.provenance, confidence=confidence)
             below = replace(outcome, provenance=provenance)
             assert _labelled_by_content(below).provenance.confidence == confidence

@@ -179,6 +179,31 @@ class TestExplainerProtocol:
         assert outcome.explanation.alignment == {}
         assert outcome.cost == outcome.trivial_cost
 
+    def test_baseline_answer_at_the_trivial_cost_is_labelled_trivial(
+            self, stable_key_snapshots):
+        # No keyed pair survives the exact-match filter, so the keyed diff
+        # answers with the trivial explanation and says so.
+        source, target = stable_key_snapshots
+        from repro.core import ProblemInstance
+
+        instance = ProblemInstance(source=source, target=target)
+        for explainer in (KeyedDiffExplainer(["key"]), SimilarityExplainer()):
+            outcome = explainer.explain(instance)
+            assert outcome.cost == outcome.trivial_cost
+            assert outcome.provenance.tier == explainer.name
+            assert outcome.provenance.confidence == "trivial"
+
+    def test_baseline_answer_below_the_trivial_cost_keeps_its_label(self):
+        schema = Schema(["key", "value"])
+        source = Table(schema, [("k1", "10"), ("k2", "20"), ("k3", "30")])
+        target = Table(schema, [("k1", "10"), ("k2", "20"), ("k4", "40")])
+        from repro.core import ProblemInstance
+
+        instance = ProblemInstance(source=source, target=target)
+        outcome = KeyedDiffExplainer(["key"]).explain(instance)
+        assert outcome.cost < outcome.trivial_cost
+        assert outcome.provenance.confidence == "baseline"
+
 
 class TestExplainerBoundary:
     """Nothing outside repro.baselines may call the raw comparators — the

@@ -15,12 +15,17 @@ import random
 import pytest
 
 from repro.core import SearchState, StateEvaluator, identity_configuration
-from repro.core.extension import StateExpander
+from repro.core.colcache import ColumnCache
+from repro.core.extension import StateExpander, count_postings
 from repro.core.sampling import sample_concatenated
 from repro.datagen import generate_problem_instance
 from repro.datagen.datasets import load_dataset
+from repro.dataio import Schema, Table
 from repro.functions import IDENTITY, CandidatePool
+from repro.functions.affix import Prefixing
+from repro.functions.casing import Uppercasing
 from repro.functions.trimming import BackCharTrimming, FrontCharTrimming
+from repro.linking.histogram import indexed_histogram
 
 CASES = [
     ("flight-500k", 120, 0.3, 0.3, 1),
@@ -210,3 +215,37 @@ class TestPostingsRanking:
         before = cache.stats().lookups
         expander._score_candidates_columnar(candidates, mixed, block_indices, attribute)
         assert cache.stats().lookups - before == len(candidates)
+
+    def test_postings_equal_merged_block_histograms(self):
+        column = [7, 3, 7, 7, 5, 3, 9, 3, 5, 7]
+        blocks = [[0, 1, 2], [3], [], [4, 5, 3, 6], [7, 8, 9, 0], [9, 9]]
+        reference = {}
+        for position, ids in enumerate(blocks):
+            for key, count in indexed_histogram(column, ids).items():
+                reference.setdefault(key, {})[position] = count
+        postings = count_postings(column, blocks)
+        assert list(postings) == list(reference) == [7, 3, 5, 9]
+        assert [list(counts.items()) for counts in postings.values()] == \
+            [list(counts.items()) for counts in reference.values()]
+
+
+# --------------------------------------------------------------------------- #
+# code maps
+# --------------------------------------------------------------------------- #
+class TestCodeMaps:
+    def test_code_map_is_sized_to_the_source_domain(self):
+        table = Table(Schema(["name"]), [("ann",), ("bob",), ("ann",), ("cy",)])
+        cache = ColumnCache(table)
+        upper = cache.code_map_for("name", Uppercasing())
+        domain = cache.source_value_codes("name")
+        assert len(upper) == max(domain) + 1
+        assert len(cache.codec("name")) > len(upper)  # the images were encoded
+        # Every further candidate grows the codec, never a code map.
+        for prefix in "abcdefgh":
+            cache.code_map_for("name", Prefixing(prefix))
+        assert len(cache.codec("name")) > 3 * len(upper)
+        assert len(cache.code_map_for("name", Uppercasing())) == len(upper)
+        assert len(cache.code_map_for("name", Prefixing("z"))) == len(upper)
+        codec = cache.codec("name")
+        for value in ("ann", "bob", "cy"):
+            assert upper[codec.code_of(value)] == codec.code_of(value.upper())

@@ -17,6 +17,7 @@ from repro.core import NOT_APPLICABLE
 from repro.dataio import read_csv_text
 from repro.fuzz import (
     PAYLOAD_ORACLES,
+    OracleFailure,
     SNAPSHOT_ORACLES,
     ServiceOracle,
     SnapshotPair,
@@ -89,6 +90,27 @@ class TestSnapshotOracles:
         )
         for oracle in SNAPSHOT_ORACLES.values():
             oracle(pair, seed=0)
+
+    @pytest.mark.parametrize("confidence", ["approximate", "partial", "baseline"])
+    def test_budget_respected_flags_a_non_trivial_label_at_the_trivial_cost(
+            self, healthy_pair, monkeypatch, confidence):
+        from dataclasses import replace
+
+        from repro.api import ExplainSession
+        from repro.core import ProblemInstance
+
+        # A budgeted answer at the trivial cost under a label that claims
+        # more than the trivial explanation.
+        trivial = ExplainSession().with_budget(None, strategy=("trivial",)) \
+            .explain_instance(ProblemInstance(source=healthy_pair.source,
+                                              target=healthy_pair.target))
+        assert trivial.cost == trivial.trivial_cost
+        mislabelled = replace(trivial, provenance=replace(
+            trivial.provenance, tier="keyed_diff", confidence=confidence))
+        monkeypatch.setattr(ExplainSession, "explain_instance",
+                            lambda *args, **kwargs: mislabelled)
+        with pytest.raises(OracleFailure, match=f"labelled '{confidence}'"):
+            budget_respected(healthy_pair, seed=0)
 
 
 class TestPayloadOracles:

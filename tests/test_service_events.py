@@ -10,6 +10,7 @@ request.
 from __future__ import annotations
 
 import json
+import math
 import threading
 import time
 import types
@@ -25,8 +26,11 @@ from repro.api import (
     make_frame,
     parse_frame,
 )
+from repro.datagen import generate_problem_instance
+from repro.datagen.datasets import load_dataset
+from repro.dataio import to_csv_text
 from repro.service import create_server
-from repro.service.jobs import JobEventBuffer
+from repro.service.jobs import PROGRESS_FRAME_INTERVAL_S, JobEventBuffer
 
 
 # --------------------------------------------------------------------- #
@@ -232,6 +236,40 @@ def test_stream_full_lifecycle_ndjson(base_url):
     # And it agrees with what polling reports.
     status, text, _ = http(base_url, "GET", f"/v1/jobs/{job_id}")
     assert json.loads(text)["state"] == "done"
+
+
+def test_progressed_frames_are_rate_limited(base_url):
+    # A wide search capped at 150 expansions: a few milliseconds each.
+    generated = generate_problem_instance(
+        load_dataset("flight-500k", 16, seed=1), eta=0.3, tau=0.3, seed=1)
+    body = {
+        "source_csv": to_csv_text(generated.instance.source),
+        "target_csv": to_csv_text(generated.instance.target),
+        "name": "wide", "use_cache": False,
+        "overrides": {"beta": 6, "queue_width": 50, "max_expansions": 150},
+    }
+    status, text, _ = http(base_url, "POST", "/v1/explain", body)
+    assert status == 202, text
+    job_id = json.loads(text)["id"]
+
+    frames, _ = stream_frames(base_url, f"/v1/jobs/{job_id}/events")
+    frames = [frame for frame in frames if frame.kind != "heartbeat"]
+    terminal = frames[-1]
+    assert terminal.kind == "completed"
+    expansions = terminal.outcome.expansions
+    assert expansions > 100
+    assert [frame.kind for frame in frames[:2]] == ["started", "progressed"]
+    assert frames[1].payload["expansions"] == 1
+    sequences = [frame.sequence for frame in frames]
+    assert all(a < b for a, b in zip(sequences, sequences[1:]))
+
+    view = json.loads(http(base_url, "GET", f"/v1/jobs/{job_id}")[1])
+    run_s = view["finished_at"] - view["started_at"]
+    progressed = [frame for frame in frames if frame.kind == "progressed"]
+    assert len(progressed) <= math.ceil(run_s / PROGRESS_FRAME_INTERVAL_S) + 1
+    assert len(progressed) < expansions
+    # The polled progress still follows every expansion.
+    assert view["progress"]["expansions"] == expansions
 
 
 class _ClosingBuffer(JobEventBuffer):
