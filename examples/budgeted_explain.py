@@ -3,7 +3,7 @@
 Affidavit's full search finds the cheapest explanation, but its runtime
 depends on the instance.  When a caller has a latency budget — an
 interactive UI, a service SLO — the strategy chain walks a tier list
-(cache, greedy shallow search, full search, baseline fallbacks) under a
+(greedy shallow search, full search, baseline fallbacks) under a
 wall-clock deadline and returns the best answer found in time, labelled
 with the tier that produced it and a confidence level.
 
@@ -48,22 +48,19 @@ def main() -> None:
     show("Budget 60s (full search wins)", generous)
     assert generous.cost == plain.cost
 
-    # 3. Re-running the same budgeted session hits the tier cache —
-    #    identical answer, near-zero latency, confidence 'cached'.
-    #    (The store keys on the parsed tables, the resolved configuration
-    #    and the function pool, so instance runs hit it too.)
-
-    # 4. A tight budget: the full search may be cut off, and the chain
-    #    falls back to the best answer gathered so far (usually the
-    #    greedy shallow search, confidence 'approximate' — or 'trivial'
-    #    when it could not beat the trivial explanation's cost).  Here the
-    #    session's store already holds step 2's exact answer, so the cache
-    #    tier answers first.
+    # 3. A tight budget: the greedy tier gets half of it, the full search
+    #    the rest.  When the deadline cuts the full search off, its
+    #    best-so-far state is finalised and the chain returns the cheaper
+    #    of the two answers: usually the greedy one, confidence
+    #    'approximate' (or 'trivial' when it could not beat the trivial
+    #    explanation's cost).  A session keeps no results, so this runs the
+    #    search again; the HTTP service answers repeats from its result
+    #    store before they reach the chain.
     tight = session.with_budget(50).explain_instance(instance)
     show("Budget 50ms", tight)
     tight.explanation.validate(instance)
 
-    # 5. Pinning the strategy: skip straight to a baseline tier.  The
+    # 4. Pinning the strategy: skip straight to a baseline tier.  The
     #    keyed-diff explainer only keeps exact-match pairs, so its cost is
     #    honest — here the reassigned keys leave it at the trivial cost, and
     #    its label says so: confidence 'trivial', not 'baseline'.

@@ -34,8 +34,8 @@ layer shared by the library, the CLI, the HTTP service and the batch runner:
   typed :class:`~repro.api.SearchEvent` objects.
 * :class:`~repro.api.ExplainBudget` / ``Session().with_budget(50)`` —
   budgeted, tiered explanation: the strategy chain walks
-  cache → greedy → full search → baseline fallbacks under a wall-clock
-  deadline and records the answering tier in the outcome's provenance.
+  greedy → full search → baseline fallbacks under a wall-clock deadline
+  and records the answering tier in the outcome's provenance.
 
 Supporting layers
 -----------------

@@ -16,13 +16,13 @@ Every front door of the reproduction funnels work through this package:
   :class:`SearchEvent` objects (started / progressed / completed).
 * :class:`StrategyChain` / :class:`ExplainBudget` — budgeted, tiered
   explanation: ``Session().with_budget(50).explain(request)`` walks
-  cache → greedy → full search → baseline fallbacks under a wall-clock
-  deadline and reports the answering tier in the outcome's provenance.
+  greedy → full search → baseline fallbacks under a wall-clock deadline
+  and reports the answering tier in the outcome's provenance.
 * :class:`ResultStore` (:class:`MemoryResultStore`,
   :class:`SqliteResultStore`) keyed by :func:`idempotency_key` — the one
   result cache: exact outcomes under a content key over the parsed tables,
-  the resolved configuration and the function pool.  The session's
-  ``cache`` tier and the service's job manager both use it.
+  the resolved configuration and the function pool.  The service's job
+  manager owns it; sessions and the strategy chain keep no results.
 
 The HTTP service, the batch runner and the CLI are thin adapters over these
 types.  Engine dispatch lives here too: ``engine="columnar"`` (default, the

@@ -18,9 +18,11 @@ from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from .errors import RequestValidationError
 
-#: Tier names of the strategy chain, in their default walking order.  The
-#: provenance of every outcome names the tier that answered; unknown names
-#: are rejected on deserialization.
+#: Tier names of the strategy chain.  The provenance of every outcome names
+#: the tier that answered; unknown names are rejected on deserialization.
+#: ``cache`` is retired: the chain keeps no result store, so a strategy that
+#: names it logs the tier as skipped.  The name stays valid so stored
+#: requests, outcomes and event frames that carry it still parse.
 TIER_CACHE = "cache"
 TIER_GREEDY = "greedy"
 TIER_FULL = "full"
@@ -37,11 +39,12 @@ TIERS = (
     TIER_TRIVIAL,
 )
 
-#: The default strategy: every tier, cheapest-to-secure-an-answer first.
-DEFAULT_STRATEGY = TIERS
+#: The default strategy: every live tier, cheapest-to-secure-an-answer first.
+DEFAULT_STRATEGY = tuple(tier for tier in TIERS if tier != TIER_CACHE)
 
 #: Confidence labels, best to worst.  ``exact`` — an uninterrupted full
-#: search; ``cached`` — a previously computed exact answer; ``approximate``
+#: search; ``cached`` — a previously computed exact answer (written by
+#: builds whose chain had a ``cache`` tier; still parsed); ``approximate``
 #: — the width/depth-capped greedy search; ``partial`` — a full search that
 #: hit its deadline and was finalised from its best-so-far state;
 #: ``baseline`` — a non-learning baseline (keyed diff / similarity linker);

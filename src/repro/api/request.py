@@ -55,16 +55,21 @@ ENGINE_ROWWISE = "rowwise"
 ENGINE_PARALLEL = "parallel"
 ENGINES = (ENGINE_COLUMNAR, ENGINE_ROWWISE, ENGINE_PARALLEL)
 
-#: Retired overrides of the parallel engine and the string-keyed columnar
-#: path: still accepted, validated as before, then ignored.
-LEGACY_OVERRIDE_FIELDS = ("parallel_workers", "blocking_codes")
+#: Retired overrides — of the parallel engine, of the string-keyed columnar
+#: path, and the two cache bounds that are now constants of
+#: :mod:`repro.core.evaluator`: still accepted, validated as before, then
+#: ignored.
+LEGACY_OVERRIDE_FIELDS = (
+    "parallel_workers", "blocking_codes",
+    "column_cache_entries", "blocking_cache_size",
+)
 
 #: Configuration fields clients may override per request.  Callbacks are
 #: deliberately absent — they are owned by the session / job layer.
 CONFIG_OVERRIDE_FIELDS = (
     "alpha", "beta", "queue_width", "theta", "confidence", "start_strategy",
     "max_block_size", "min_generation_successes", "max_expansions", "seed",
-    "columnar_cache", "column_cache_entries", "blocking_cache_size",
+    "columnar_cache",
 ) + LEGACY_OVERRIDE_FIELDS
 
 #: Named base configurations selectable by request (the paper's two setups).
@@ -416,13 +421,25 @@ def resolve_config(request: Optional[ExplainRequest]) -> AffidavitConfig:
 
 
 def _drop_legacy(overrides: Dict[str, Any], engine: str) -> None:
-    """Validate the retired ``parallel_workers`` override exactly as builds
-    with the parallel engine did, then remove it and ``blocking_codes`` (which
-    was never validated).  Those builds rejected a non-integer or negative
-    worker count, a ``bool`` one with ``engine="parallel"``, a count above 1
-    with any other engine, and a count above 1 — or the default, several
-    workers on a multi-core host — combined with the row-wise engine."""
+    """Validate the :data:`LEGACY_OVERRIDE_FIELDS` exactly as the builds that
+    honoured them did, then remove them.
+
+    The cache bounds had to be integers >= 1 (``bool`` rejected).
+    ``blocking_codes`` was never validated.  Builds with the parallel engine
+    rejected a non-integer or negative ``parallel_workers``, a ``bool`` one
+    with ``engine="parallel"``, a count above 1 with any other engine, and a
+    count above 1 — or the default, several workers on a multi-core host —
+    combined with the row-wise engine."""
     overrides.pop("blocking_codes", None)
+    for name in ("column_cache_entries", "blocking_cache_size"):
+        if name not in overrides:
+            continue
+        value = overrides.pop(name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise RequestValidationError(
+                f"invalid config overrides: {name} must be an integer >= 1, "
+                f"got {value!r}"
+            )
     if "parallel_workers" not in overrides and engine != ENGINE_PARALLEL:
         return
     workers = overrides.pop("parallel_workers", None)

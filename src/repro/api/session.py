@@ -47,7 +47,6 @@ from .events import SearchCompleted, SearchEvent, SearchProgressed, SearchStarte
 from .outcome import ExplainOutcome
 from .request import BASE_CONFIGS, ExplainRequest, resolve_registry
 from .request import resolve_config as _resolve_request_config
-from .store import MemoryResultStore
 from .strategies import StrategyChain
 
 ProgressCallback = Callable[[SearchProgress], None]
@@ -145,11 +144,6 @@ class ExplainSession:
         self._tracer = tracer
         self._budget = budget
         self._strategy = strategy
-        #: The strategy chain's result store: exact answers keyed by content
-        #: (tables, resolved config, function pool), shared by reference
-        #: across clones — a clone with another config or pool simply keys
-        #: differently.
-        self._store = MemoryResultStore(max_entries=64)
 
     # ------------------------------------------------------------------ #
     # fluent builder
@@ -167,9 +161,7 @@ class ExplainSession:
             "snapshot_cache": self._snapshot_cache,
         }
         state.update(changes)
-        clone = ExplainSession(**state)
-        clone._store = self._store
-        return clone
+        return ExplainSession(**state)
 
     def with_config(self, config: Union[AffidavitConfig, str, None] = None,
                     **overrides) -> "ExplainSession":
@@ -464,9 +456,7 @@ class ExplainSession:
             strategy = request.strategy
         if budget is None and strategy is None:
             return self._execute(instance, request, load_seconds)
-        chain = StrategyChain(
-            self, budget=budget, strategy=strategy, store=self._store
-        )
+        chain = StrategyChain(self, budget=budget, strategy=strategy)
         return chain.run(instance, request, load_seconds=load_seconds).outcome
 
     def _execute(self, instance: ProblemInstance,

@@ -17,11 +17,11 @@ enough for every result cache in the system:
   a cached answer is the answer a fresh run would give.
 
 Two backends ship: :class:`MemoryResultStore` (an in-process LRU with
-optional TTL — the service's default store and the session's ``cache``
-tier) and :class:`SqliteResultStore` (a WAL-mode sqlite file safe for
-concurrent readers/writers across threads *and* processes, so N service
-replicas pointed at one file deduplicate work and a restarted replica keeps
-its results).  Both round-trip payloads through JSON text.
+optional TTL — the service's default store) and :class:`SqliteResultStore`
+(a WAL-mode sqlite file safe for concurrent readers/writers across threads
+*and* processes, so N service replicas pointed at one file deduplicate work
+and a restarted replica keeps its results).  Both round-trip payloads
+through JSON text.
 
 ``open_store`` parses the ``serve --store`` spec::
 

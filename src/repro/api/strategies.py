@@ -1,8 +1,8 @@
 """The strategy chain: budgeted, tiered explanation behind the v2 API.
 
-A :class:`StrategyChain` walks a configurable tier list — result-store
-lookup, a greedy shallow search, the full affidavit search, then baseline
-fallbacks — under one wall-clock :class:`~repro.api.budget.ExplainBudget`.
+A :class:`StrategyChain` walks a configurable tier list — a greedy shallow
+search, the full affidavit search, then baseline fallbacks — under one
+wall-clock :class:`~repro.api.budget.ExplainBudget`.
 Each tier produces a typed :class:`~repro.api.budget.TierResult`; the chain
 records which tier answered and why the others were skipped or timed out,
 and attaches the attempt log to the winning outcome (``outcome.tiers``).
@@ -20,18 +20,22 @@ builds one per run, and requests carrying ``budget``/``strategy`` (schema
 v2) route through it automatically.  The baseline tiers are imported
 lazily from :mod:`repro.baselines` to keep the package import graph
 acyclic (baselines build :class:`~repro.api.ExplainOutcome` themselves).
+
+The chain keeps no results: repeated requests are answered before they
+reach it, by the service's result store (:mod:`repro.api.store`).  The
+``cache`` tier name stays valid on the wire so stored requests keep
+parsing; a strategy that names it logs the tier as skipped and walks on.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..obs import get_registry
 from .budget import (
     CONFIDENCE_APPROXIMATE,
-    CONFIDENCE_CACHED,
     CONFIDENCE_EXACT,
     CONFIDENCE_LABELS,
     DEFAULT_STRATEGY,
@@ -50,7 +54,6 @@ from .budget import (
 )
 from .outcome import ExplainOutcome
 from .request import ExplainRequest
-from .store import ResultStore, idempotency_key
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
     from ..core import ProblemInstance
@@ -64,6 +67,10 @@ GREEDY_MAX_EXPANSIONS = 64
 #: When the full tier still follows, the greedy tier may spend at most this
 #: fraction of the remaining budget — the rest is the full search's slice.
 GREEDY_BUDGET_FRACTION = 0.5
+
+#: The attempt-log detail of a ``cache`` tier named in a strategy: the chain
+#: holds no result store, so the tier never answers.
+CACHE_TIER_DETAIL = "retired: repeats are answered by the service's result store"
 
 _metrics = get_registry()
 _TIER_ATTEMPTS = _metrics.counter(
@@ -122,22 +129,16 @@ class StrategyChain:
     strategy:
         Tier names to walk, in order (default:
         :data:`~repro.api.budget.DEFAULT_STRATEGY`).
-    store:
-        The :class:`~repro.api.store.ResultStore` the ``cache`` tier
-        consults and the full tier feeds with exact answers; ``None``
-        disables both.
     """
 
     def __init__(self, session: "ExplainSession", *,
                  budget: Optional[ExplainBudget] = None,
-                 strategy: Optional[Sequence[str]] = None,
-                 store: Optional[ResultStore] = None):
+                 strategy: Optional[Sequence[str]] = None):
         self._session = session
         self._budget = budget
         resolved = DEFAULT_STRATEGY if strategy is None else tuple(strategy)
         validate_strategy(resolved)
         self._strategy = resolved
-        self._store = store
 
     @property
     def strategy(self) -> Tuple[str, ...]:
@@ -163,18 +164,6 @@ class StrategyChain:
         )
         attempts: List[TierResult] = []
         candidates: List[ExplainOutcome] = []
-        keys: List[str] = []
-
-        def store_key() -> str:
-            # Computed at most once per walk, and only by a tier that needs
-            # it (inside its try: resolving the config may fail).
-            if not keys:
-                keys.append(idempotency_key(
-                    instance.source, instance.target,
-                    self._session.resolve_config(request),
-                    tuple(instance.registry.names),
-                ))
-            return keys[0]
 
         def record(result: TierResult) -> None:
             attempts.append(result)
@@ -194,10 +183,10 @@ class StrategyChain:
             started = time.perf_counter()
             try:
                 if name == TIER_CACHE:
-                    result = self._try_cache(
-                        instance, request, load_seconds, store_key, started
+                    result = TierResult(
+                        tier=TIER_CACHE, status=STATUS_SKIPPED,
+                        detail=CACHE_TIER_DETAIL,
                     )
-                    stop_walking = result.status == STATUS_ANSWERED
                 elif name == TIER_GREEDY:
                     result = self._run_greedy(
                         instance, request, load_seconds, deadline, later, started
@@ -210,7 +199,7 @@ class StrategyChain:
                 elif name == TIER_FULL:
                     result = self._run_full(
                         instance, request, load_seconds, deadline,
-                        bool(candidates), store_key, started,
+                        bool(candidates), started,
                     )
                     # Nothing after the full search can improve on it; the
                     # baseline tiers are only insurance for when it never ran.
@@ -274,43 +263,6 @@ class StrategyChain:
             return True
         return outcome.compression_ratio <= quality
 
-    def _caching(self, request: Optional[ExplainRequest]) -> bool:
-        return self._store is not None and (request is None or request.use_cache)
-
-    def _try_cache(self, instance: "ProblemInstance",
-                   request: Optional[ExplainRequest], load_seconds: float,
-                   store_key: Callable[[], str], started: float) -> TierResult:
-        if not self._caching(request):
-            return TierResult(
-                tier=TIER_CACHE, status=STATUS_SKIPPED,
-                elapsed_seconds=time.perf_counter() - started,
-                detail="no store attached" if self._store is None
-                else "use_cache=false",
-            )
-        cached = self._store.get_outcome(
-            store_key(), request=request, instance=instance,
-            load_seconds=load_seconds,
-        )
-        if cached is None:
-            return TierResult(
-                tier=TIER_CACHE, status=STATUS_SKIPPED,
-                elapsed_seconds=time.perf_counter() - started,
-                detail="miss",
-            )
-        outcome = replace(
-            cached,
-            provenance=replace(
-                cached.provenance, tier=TIER_CACHE, confidence=CONFIDENCE_CACHED
-            ),
-        )
-        return TierResult(
-            tier=TIER_CACHE, status=STATUS_ANSWERED,
-            confidence=CONFIDENCE_CACHED,
-            elapsed_seconds=time.perf_counter() - started,
-            detail="hit: previously computed exact answer",
-            outcome=outcome,
-        )
-
     def _run_greedy(self, instance: "ProblemInstance",
                     request: Optional[ExplainRequest], load_seconds: float,
                     deadline: Deadline, later: Tuple[str, ...],
@@ -358,7 +310,7 @@ class StrategyChain:
     def _run_full(self, instance: "ProblemInstance",
                   request: Optional[ExplainRequest], load_seconds: float,
                   deadline: Deadline, have_candidate: bool,
-                  store_key: Callable[[], str], started: float) -> TierResult:
+                  started: float) -> TierResult:
         if deadline.expired() and have_candidate:
             return TierResult(
                 tier=TIER_FULL, status=STATUS_TIMEOUT,
@@ -374,8 +326,6 @@ class StrategyChain:
             instance, request, load_seconds, tier=TIER_FULL,
         ))
         confidence = outcome.provenance.confidence
-        if confidence == CONFIDENCE_EXACT and self._caching(request):
-            self._store.put_outcome(store_key(), outcome)
         detail = (
             f"completed after {outcome.expansions} expansions"
             if confidence == CONFIDENCE_EXACT

@@ -27,7 +27,7 @@ import time
 from typing import Dict, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..core.cost import explanation_cost, trivial_explanation_cost
-from ..core.explanation import Explanation, trivial_explanation
+from ..core.explanation import Explanation
 from ..core.instance import ProblemInstance
 from ..api.budget import (
     CONFIDENCE_BASELINE,
@@ -236,8 +236,3 @@ def baseline_explainer(name: str) -> Explainer:
             f"unknown baseline explainer {name!r} "
             f"(available: {sorted(BASELINE_EXPLAINERS)})"
         ) from None
-
-
-def trivial_fallback(instance: ProblemInstance) -> Explanation:
-    """The trivial explanation, exposed for chain-internal use."""
-    return trivial_explanation(instance)

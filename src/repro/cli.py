@@ -118,9 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
                               "parallel is a retired alias of columnar")
     explain.add_argument("--budget-ms", type=float, default=None, metavar="MS",
                          help="wall-clock latency budget in milliseconds; the "
-                              "run walks the tier chain (cache, greedy, full "
-                              "search, baselines) under this deadline and the "
-                              "report names the answering tier")
+                              "run walks the tier chain (greedy, full search, "
+                              "baselines) under this deadline and the report "
+                              "names the answering tier")
     explain.add_argument("--strategy", default=None, metavar="TIER1,TIER2",
                          help="comma-separated tier chain to walk (subset of: "
                               f"{', '.join(TIERS)}; default: "

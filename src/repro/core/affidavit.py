@@ -145,11 +145,7 @@ class Affidavit:
         started = time.perf_counter()
 
         evaluator = StateEvaluator(
-            instance,
-            alpha=config.alpha,
-            columnar=config.columnar_cache,
-            column_cache_entries=config.column_cache_entries,
-            cache_size=config.blocking_cache_size,
+            instance, alpha=config.alpha, columnar=config.columnar_cache,
         )
         rng = random.Random(config.seed)
         expander = StateExpander(instance, config, evaluator, rng,

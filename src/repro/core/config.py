@@ -42,7 +42,7 @@ _VALID_START_STRATEGIES = (START_EMPTY, START_IDENTITY, START_OVERLAP)
 #: subclasses ``int``.  ``max_expansions`` may also be ``None``.
 _POSITIVE_INT_FIELDS = (
     "beta", "queue_width", "max_block_size", "min_generation_successes",
-    "max_expansions", "column_cache_entries", "blocking_cache_size",
+    "max_expansions",
 )
 
 
@@ -70,14 +70,6 @@ class AffidavitConfig:
     #: fallback engine — identical results, no memoization — used as the
     #: benchmark baseline and by the equivalence tests.
     columnar_cache: bool = True
-    #: LRU bound of the column cache: maximum number of cached
-    #: ``(function, attribute)`` value maps (each at most one entry per
-    #: distinct value of the column).
-    column_cache_entries: int = 4096
-    #: LRU bound of the evaluator's state-keyed blocking cache: how many
-    #: recently used blockings are kept so sibling extensions and queue
-    #: re-polls of a state reuse the parent blocking instead of rebuilding.
-    blocking_cache_size: int = 64
     #: Called once per state expansion with a
     #: :class:`~repro.core.affidavit.SearchProgress` snapshot.  Excluded from
     #: equality/hashing so configs that differ only in observers compare equal

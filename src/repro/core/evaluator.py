@@ -24,6 +24,16 @@ from .cost import batch_partial_state_costs, partial_state_cost
 from .instance import ProblemInstance
 from .search_state import SearchState
 
+#: LRU bound of the column cache: maximum number of cached
+#: ``(function, attribute)`` value maps (each at most one entry per distinct
+#: value of the column).
+COLUMN_CACHE_ENTRIES = 4096
+
+#: LRU bound of the state-keyed blocking cache: how many recently used
+#: blockings are kept so sibling extensions and queue re-polls of a state
+#: reuse the parent blocking instead of rebuilding it.
+BLOCKING_CACHE_SIZE = 64
+
 
 class StateEvaluator:
     """Computes blockings and costs of search states for one problem instance.
@@ -45,8 +55,7 @@ class StateEvaluator:
     """
 
     def __init__(self, instance: ProblemInstance, *, alpha: float = 0.5,
-                 cache_size: int = 64, columnar: bool = True,
-                 column_cache_entries: int = 4096):
+                 cache_size: int = BLOCKING_CACHE_SIZE, columnar: bool = True):
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {alpha}")
         self._instance = instance
@@ -56,7 +65,7 @@ class StateEvaluator:
         self._blocking_hits = 0
         self._blocking_misses = 0
         self._column_cache = ColumnCache(
-            instance.source, max_entries=column_cache_entries, enabled=columnar,
+            instance.source, max_entries=COLUMN_CACHE_ENTRIES, enabled=columnar,
         )
 
     @property

@@ -118,7 +118,6 @@ class AdditionMeta(MetaFunction):
     """Induces ``x ↦ x + (target - source)`` from numeric examples."""
 
     name = "addition"
-    numeric_only = True
 
     def induce(self, source_value: str, target_value: str) -> Iterable[AttributeFunction]:
         source = value_helpers.parse_number(source_value)
@@ -137,7 +136,6 @@ class DivisionMeta(MetaFunction):
     """Induces ``x ↦ x / (source / target)`` when the magnitude shrinks."""
 
     name = "division"
-    numeric_only = True
 
     def induce(self, source_value: str, target_value: str) -> Iterable[AttributeFunction]:
         source = value_helpers.parse_number(source_value)
@@ -162,7 +160,6 @@ class MultiplicationMeta(MetaFunction):
     """Induces ``x ↦ x * (target / source)`` when the magnitude grows."""
 
     name = "multiplication"
-    numeric_only = True
 
     def induce(self, source_value: str, target_value: str) -> Iterable[AttributeFunction]:
         source = value_helpers.parse_number(source_value)

@@ -127,10 +127,6 @@ class MetaFunction(abc.ABC):
     #: Unique name of the family, e.g. ``"addition"``.
     name: str = "abstract"
 
-    #: ``True`` when the family only makes sense for numeric attributes; the
-    #: instance generator uses this to sample domain-appropriate functions.
-    numeric_only: bool = False
-
     @abc.abstractmethod
     def induce(self, source_value: str, target_value: str) -> Iterable[AttributeFunction]:
         """All instantiations consistent with one input–output example.

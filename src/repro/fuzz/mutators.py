@@ -33,7 +33,6 @@ import json
 import random
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..dataio import Table
 from ..datagen.transformer import sample_attribute_function
 from .corpus import SnapshotPair
 
@@ -73,16 +72,6 @@ TORTURE_VALUES: Tuple[str, ...] = (
     "line\nbreak",
     'quote"comma,',
 )
-
-
-def _min_rows(pair: SnapshotPair) -> int:
-    return min(pair.source.n_rows, pair.target.n_rows)
-
-
-def _rebuild(schema_attrs: List[str], rows: List[Tuple[str, ...]]) -> Table:
-    from ..dataio import Schema
-
-    return Table(Schema(schema_attrs), rows)
 
 
 # ---------------------------------------------------------------------- #

@@ -66,7 +66,6 @@ from ..api import (
     MemoryResultStore,
     RequestValidationError,
     ResultStore,
-    SearchEvent,
     TERMINAL_FRAME_KINDS,
     idempotency_key,
     make_frame,
@@ -227,12 +226,6 @@ class JobEventBuffer:
                 self._closed = True
             self._cond.notify_all()
             return frame
-
-    def append_event(self, event: SearchEvent) -> Optional[Dict[str, Any]]:
-        """Append a session event (started/progressed) as a frame."""
-        payload = event.to_dict()
-        kind = payload.pop("kind")
-        return self.append(kind, **payload)
 
     def collect(self, after: int) -> Tuple[List[Dict[str, Any]], int, bool]:
         """``(frames with sequence > after, frames lost to the bound,

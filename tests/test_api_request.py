@@ -149,6 +149,51 @@ class TestIntegerOverrides:
             inline_request(overrides={"max_expansions": value})
 
 
+class TestRetiredCacheBounds:
+    """``column_cache_entries`` and ``blocking_cache_size`` are constants of
+    the evaluator now.  As overrides they are validated exactly as when they
+    were configuration fields (an ``int`` >= 1, ``bool`` rejected), then
+    ignored."""
+
+    FIELDS = ("column_cache_entries", "blocking_cache_size")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [1, 2, 64, 4096, 10**12])
+    def test_legal_values_are_accepted_and_ignored(self, field, value):
+        payload = inline_request().to_dict()
+        payload["overrides"] = {field: value, "seed": 4}
+        request = ExplainRequest.from_dict(payload)
+        assert dict(request.overrides)[field] == value
+        assert resolve_config(request) == \
+            resolve_config(inline_request(overrides={"seed": 4}))
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("value", [
+        0, -1, -4096, 2.5, 2.0, 0.0, True, False, None, "7", "64", [4], {},
+    ])
+    def test_illegal_values_are_still_rejected(self, field, value):
+        payload = inline_request().to_dict()
+        payload["overrides"] = {field: value}
+        with pytest.raises(RequestValidationError):
+            ExplainRequest.from_dict(payload)
+
+    @pytest.mark.parametrize("engine", ["columnar", "rowwise", "parallel"])
+    def test_one_illegal_bound_rejects_the_request(self, engine):
+        with pytest.raises(RequestValidationError):
+            inline_request(engine=engine, overrides={
+                "column_cache_entries": 8, "blocking_cache_size": 0,
+            })
+        inline_request(engine=engine, overrides={
+            "column_cache_entries": 8, "blocking_cache_size": 2,
+        })
+
+    def test_bounds_are_no_longer_configuration_fields(self):
+        for field in self.FIELDS:
+            assert not hasattr(AffidavitConfig(), field)
+            with pytest.raises(TypeError):
+                AffidavitConfig().with_overrides(**{field: 8})
+
+
 # --------------------------------------------------------------------- #
 # resolution
 # --------------------------------------------------------------------- #

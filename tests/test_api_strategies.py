@@ -1,5 +1,8 @@
 """Tests of the budgeted strategy chain (repro.api.strategies / budget)."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from repro.api import (
@@ -17,11 +20,15 @@ from repro.api import (
     ExplainSession,
     RequestValidationError,
     MemoryResultStore,
+    SqliteResultStore,
     StrategyChain,
     TierResult,
     idempotency_key,
+    make_frame,
+    parse_frame,
 )
 from repro.api.outcome import Provenance
+from repro.api.strategies import CACHE_TIER_DETAIL
 from repro.core import Affidavit, identity_configuration
 from repro.datagen import generate_problem_instance
 from repro.datagen.datasets import load_dataset
@@ -161,7 +168,9 @@ class TestProvenanceTierStrictness:
         assert rebuilt.provenance.confidence == "exact"
 
     def test_vocabularies_are_closed_and_ordered(self):
-        assert DEFAULT_STRATEGY == TIERS
+        # "cache" stays a valid name; the default chain no longer walks it.
+        assert "cache" in TIERS
+        assert DEFAULT_STRATEGY == tuple(tier for tier in TIERS if tier != "cache")
         assert set(TIER_STATUSES) == {"answered", "skipped", "timeout", "failed"}
         # best-to-worst order is what the chain's tie-break relies on
         assert CONFIDENCE_LABELS.index("exact") < CONFIDENCE_LABELS.index("approximate")
@@ -169,7 +178,7 @@ class TestProvenanceTierStrictness:
 
 
 # --------------------------------------------------------------------- #
-# the cache tier: the session's result store
+# the result store's outcome level (what the service's job manager uses)
 # --------------------------------------------------------------------- #
 @pytest.fixture(scope="module")
 def flight_request():
@@ -184,84 +193,95 @@ def flight_request():
     )
 
 
-class TestSessionStore:
-    @pytest.mark.parametrize("derive", [
-        lambda session: session.with_config("hid", seed=99, alpha=0.9),
-        lambda session: session.with_functions("identity"),
-    ], ids=["config", "functions"])
-    def test_clone_with_other_config_or_pool_is_not_served_the_parent_answer(
-            self, flight_request, derive):
-        parent = ExplainSession().with_budget(60_000)
-        parent.explain(flight_request)
-        clone = derive(parent).explain(flight_request)
-        fresh = derive(ExplainSession().with_budget(60_000)).explain(flight_request)
-        assert clone.provenance.tier == "full"
-        assert clone.cost == fresh.cost
-        assert clone.explanation == fresh.explanation
-        # ... and the clone's own repeat is a hit under its own key.
-        assert derive(parent).explain(flight_request).provenance.tier == "cache"
+@pytest.fixture(params=["memory", "sqlite"])
+def store(request, tmp_path):
+    backend = (MemoryResultStore() if request.param == "memory"
+               else SqliteResultStore(tmp_path / "results.db"))
+    yield backend
+    backend.close()
 
-    def test_path_request_is_served_by_the_cache_tier(self, tmp_path):
-        (tmp_path / "s.csv").write_text(SOURCE_CSV, encoding="utf-8")
-        (tmp_path / "t.csv").write_text(TARGET_CSV, encoding="utf-8")
-        session = ExplainSession().with_data_root(tmp_path).with_budget(60_000)
-        request = ExplainRequest(source_path="s.csv", target_path="t.csv")
-        first = session.explain(request)
-        second = session.explain(request)
-        assert first.provenance.tier == "full"
-        assert second.provenance.tier == "cache"
-        assert second.provenance.confidence == "cached"
-        assert second.explanation == first.explanation
-        # The same parsed content inline hits the same entry.
-        inline = session.explain(inline_request())
-        assert inline.provenance.tier == "cache"
 
-    def test_stored_outcome_equals_a_fresh_run(self, flight_request):
-        session = ExplainSession().with_budget(60_000, strategy=("cache", "full"))
+class TestStoreOutcomeLevel:
+    def test_stored_outcome_equals_a_fresh_run(self, store, flight_request):
+        session = ExplainSession().with_budget(60_000, strategy=("full",))
         fresh = session.explain(flight_request)
         instance, _ = session._materialise(flight_request)
         key = idempotency_key(instance.source, instance.target,
                               session.resolve_config(flight_request),
                               tuple(instance.registry.names))
-        stored = ExplainOutcome.from_dict(session._store.get(key))
+        assert store.put_outcome(key, fresh)
+        stored = ExplainOutcome.from_dict(store.get(key))
         for field in ("explanation", "cost", "trivial_cost", "expansions",
                       "generated_states", "cancelled", "cache",
                       "blocking_cache"):
             assert getattr(stored, field) == getattr(fresh, field), field
         assert stored.provenance == fresh.provenance
         assert stored.timings.search_seconds == fresh.timings.search_seconds
-        hit = session.explain(flight_request)
-        assert hit.provenance.tier == "cache"
+        assert stored.tiers is None  # the attempt log describes one run
+        hit = store.get_outcome(key, request=flight_request, instance=instance,
+                                load_seconds=0.25)
         assert (hit.explanation, hit.cost, hit.expansions) == \
             (fresh.explanation, fresh.cost, fresh.expansions)
+        assert hit.provenance.tier == "full"
+        assert hit.idempotency_key == key
+        assert hit.timings.load_seconds == 0.25
         hit.explanation.validate(hit.instance)
 
-    def test_only_exact_answers_are_stored(self, flight_request):
-        greedy = ExplainSession().with_budget(None, strategy=("greedy",))
-        greedy.explain(flight_request)
-        assert greedy._store.stats().puts == 0
+    def test_only_exact_answers_are_stored(self, store, flight_request):
+        greedy = ExplainSession().with_budget(
+            None, strategy=("greedy",)).explain(flight_request)
+        assert not store.put_outcome("greedy", greedy)
         cut = ExplainSession().with_budget(
-            ExplainBudget(deadline_ms=0.001), strategy=("full",))
-        outcome = cut.explain(flight_request)
-        assert outcome.cancelled
-        assert outcome.provenance.confidence == "trivial"  # cut at the start
-        assert cut._store.stats().puts == 0
-        repeat = cut.with_budget(60_000).explain(flight_request)
-        assert repeat.provenance.tier != "cache"
+            ExplainBudget(deadline_ms=0.001), strategy=("full",)
+        ).explain(flight_request)
+        assert cut.cancelled
+        assert cut.provenance.confidence == "trivial"  # cut at the start
+        assert not store.put_outcome("cut", cut)
+        assert store.stats().puts == 0
+        assert store.get_outcome("cut") is None
 
-    def test_use_cache_false_skips_the_store(self):
-        session = ExplainSession().with_budget(60_000)
-        session.explain(inline_request())
-        outcome = session.explain(inline_request(use_cache=False))
-        attempts = {a.tier: a for a in outcome.tiers}
-        assert attempts["cache"].status == "skipped"
-        assert attempts["cache"].detail == "use_cache=false"
-        assert outcome.provenance.tier == "full"
 
-    def test_memory_store_is_the_session_store(self):
-        assert isinstance(ExplainSession()._store, MemoryResultStore)
-        session = ExplainSession()
-        assert session.with_budget(50)._store is session._store
+class TestRetiredCacheTierWireCompat:
+    """The chain keeps no results, but the ``cache`` tier name and the
+    ``cached`` confidence written by builds that had one still parse."""
+
+    def test_v2_request_naming_the_cache_tier_validates_and_runs(self):
+        payload = inline_request().to_dict()
+        payload.update(schema_version=SCHEMA_VERSION_V2,
+                       budget={"deadline_ms": 60_000},
+                       strategy=["cache", "full"])
+        request = ExplainRequest.from_dict(payload)
+        assert request.strategy == ("cache", "full")
+        outcome = ExplainSession().explain(request)
+        assert (outcome.provenance.tier, outcome.provenance.confidence) == \
+            ("full", "exact")
+        assert [(a.tier, a.status) for a in outcome.tiers] == \
+            [("cache", "skipped"), ("full", "answered")]
+        assert outcome.tiers[0].detail == CACHE_TIER_DETAIL
+
+    def test_stored_cached_outcome_round_trips(self):
+        fresh = ExplainSession().with_budget(60_000).explain(inline_request())
+        hit_log = (TierResult(tier="cache", status="answered",
+                              confidence="cached",
+                              detail="hit: previously computed exact answer"),)
+        cached = replace(
+            fresh,
+            provenance=replace(fresh.provenance, tier="cache",
+                               confidence="cached"),
+            tiers=hit_log + fresh.tiers,
+        )
+        rebuilt = ExplainOutcome.from_dict(json.loads(json.dumps(cached.to_dict())))
+        assert (rebuilt.provenance.tier, rebuilt.provenance.confidence) == \
+            ("cache", "cached")
+        assert rebuilt.provenance == cached.provenance
+        assert rebuilt.tiers == cached.tiers
+        frame = make_frame("completed", job_id="job-1", sequence=7,
+                           state="done", cache_hit=False, store_hit=False,
+                           outcome=cached.to_dict())
+        parsed = parse_frame(json.loads(json.dumps(frame)))
+        assert parsed.outcome.provenance == cached.provenance
+        assert parsed.outcome.tiers == cached.tiers
+        assert parsed.outcome.cost == fresh.cost
 
 
 # --------------------------------------------------------------------- #
@@ -281,19 +301,26 @@ class TestStrategyChain:
         assert outcome.provenance.confidence == "exact"
         assert outcome.tiers is not None
         by_tier = {attempt.tier: attempt for attempt in outcome.tiers}
-        assert by_tier["cache"].status == "skipped"
+        assert "cache" not in by_tier
         assert by_tier["greedy"].status == "answered"
         assert by_tier["full"].status == "answered"
         assert by_tier["trivial"].status == "skipped"
         assert "tier" in outcome.summary()
         assert "strategy chain" in outcome.summary()
 
-    def test_second_identical_request_is_served_from_the_cache_tier(self):
-        session = ExplainSession().with_budget(60_000)
+    def test_repeated_request_is_answered_by_the_full_search(self):
+        # A session keeps no results: a repeat runs the search again, and a
+        # strategy that names the retired cache tier logs it as skipped.
+        session = ExplainSession().with_budget(
+            60_000, strategy=("cache", "greedy", "full"))
         first = session.explain(inline_request())
         second = session.explain(inline_request())
-        assert second.provenance.tier == "cache"
-        assert second.provenance.confidence == "cached"
+        for outcome in (first, second):
+            assert (outcome.provenance.tier, outcome.provenance.confidence) == \
+                ("full", "exact")
+            attempts = {attempt.tier: attempt for attempt in outcome.tiers}
+            assert attempts["cache"].status == "skipped"
+            assert attempts["cache"].detail == CACHE_TIER_DETAIL
         assert second.cost == first.cost
         assert second.explanation == first.explanation
 
@@ -336,8 +363,8 @@ class TestStrategyChain:
         assert outcome.tiers[0].confidence == "trivial"
 
     def test_unreachable_strategy_falls_back_to_trivial(self):
-        # A cache-only strategy with a cold cache answers with the implicit
-        # trivial fallback instead of failing.
+        # A strategy naming only the retired cache tier answers with the
+        # implicit trivial fallback instead of failing.
         session = ExplainSession().with_budget(None, strategy=("cache",))
         outcome = session.explain(inline_request())
         assert outcome.provenance.tier == "trivial"
