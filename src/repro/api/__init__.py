@@ -6,9 +6,12 @@ Every front door of the reproduction funnels work through this package:
   (snapshots inline or by path, configuration overrides, registry subset,
   engine choice, and — since schema v2 — an optional latency ``budget``
   and tier ``strategy``) with ``to_dict`` / ``from_dict`` round-trips.
-* :class:`ExplainSession` (alias :class:`Session`) — the fluent facade that
-  owns registry resolution, engine dispatch and progress/cancellation
-  wiring: ``Session().with_config("hid", seed=7).explain(request)``.
+* :class:`ExplainSession` (alias :class:`Session`) — the fluent facade and
+  the one road into a run: :meth:`ExplainSession.prepare` loads a request's
+  snapshots and resolves its configuration and function pool into a
+  :class:`PreparedRun`, and :meth:`ExplainSession.run` does engine dispatch
+  and progress/cancellation wiring:
+  ``Session().with_config("hid", seed=7).explain(request)``.
 * :class:`ExplainOutcome` — the typed result: explanation + costs +
   timings + cache statistics + provenance (including which strategy tier
   answered, at what confidence), serializable like the request.
@@ -76,6 +79,7 @@ from .request import (
     SCHEMA_VERSION_V2,
     SUPPORTED_SCHEMA_VERSIONS,
     ExplainRequest,
+    PreparedRun,
     resolve_config,
     resolve_registry,
 )
@@ -111,6 +115,7 @@ __all__ = [
     "ENGINE_BASELINE",
     "PROVENANCE_ENGINES",
     "ExplainRequest",
+    "PreparedRun",
     "resolve_config",
     "resolve_registry",
     "BASE_CONFIGS",

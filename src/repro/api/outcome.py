@@ -28,7 +28,7 @@ from .budget import (
     TierResult,
 )
 from .errors import RequestValidationError, UnsupportedSchemaVersion
-from .request import ENGINES, SCHEMA_VERSION, ExplainRequest
+from .request import ENGINES, SCHEMA_VERSION, ExplainRequest, PreparedRun
 
 #: Version tag of the serialized outcome format.
 OUTCOME_SCHEMA_VERSION = "affidavit.outcome/v1"
@@ -271,21 +271,17 @@ class ExplainOutcome:
     # construction
     # ------------------------------------------------------------------ #
     @classmethod
-    def from_result(cls, result: AffidavitResult, *,
-                    request: Optional[ExplainRequest] = None,
-                    instance: Optional[ProblemInstance] = None,
-                    registry_names: Tuple[str, ...] = (),
-                    load_seconds: float = 0.0,
+    def from_result(cls, result: AffidavitResult, run: PreparedRun, *,
                     trace: Optional[Span] = None,
                     tier: str = TIER_FULL,
                     confidence: Optional[str] = None) -> "ExplainOutcome":
-        """Wrap a raw :class:`~repro.core.AffidavitResult` into an outcome.
+        """Wrap the raw :class:`~repro.core.AffidavitResult` of *run*.
 
         *tier* and *confidence* label where the result came from when a
         strategy chain produced it; by default a completed search is
         ``full``/``exact`` and a cancelled one ``full``/``partial``.
         """
-        config = result.config
+        request, instance, load_seconds = run.request, run.instance, run.load_seconds
         if confidence is None:
             confidence = CONFIDENCE_PARTIAL if result.cancelled else CONFIDENCE_EXACT
         provenance = Provenance(
@@ -293,16 +289,13 @@ class ExplainOutcome:
             # The engine that ran; a retired "parallel" request reports
             # "columnar".
             engine=result.engine,
-            base_config=None if request is None else request.config,
-            registry=tuple(registry_names),
-            instance_name=(
-                instance.name if instance is not None
-                else (request.name if request is not None else "instance")
-            ),
-            n_source_records=0 if instance is None else instance.n_source_records,
-            n_target_records=0 if instance is None else instance.n_target_records,
-            n_attributes=0 if instance is None else instance.n_attributes,
-            seed=config.seed,
+            base_config=run.base_config,
+            registry=tuple(instance.registry.names),
+            instance_name=instance.name,
+            n_source_records=instance.n_source_records,
+            n_target_records=instance.n_target_records,
+            n_attributes=instance.n_attributes,
+            seed=result.config.seed,
             tier=tier,
             confidence=confidence,
         )

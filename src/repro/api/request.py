@@ -2,7 +2,9 @@
 
 :class:`ExplainRequest` is how work enters the engine — the library facade
 (:class:`~repro.api.session.ExplainSession`), the CLI, the HTTP service and
-the batch runner all construct one and hand it to the same resolution code
+the batch runner all construct one and hand it to a session, whose
+:meth:`~repro.api.session.ExplainSession.prepare` step resolves it into a
+:class:`PreparedRun` with the resolvers defined here
 (:func:`resolve_config` / :func:`resolve_registry`).  The request is a frozen
 dataclass with a versioned JSON round-trip (:meth:`ExplainRequest.to_dict` /
 :meth:`ExplainRequest.from_dict`).  Nothing keys on the request itself: the
@@ -17,9 +19,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
-from ..core import AffidavitConfig, identity_configuration, overlap_configuration
+from ..core import (
+    AffidavitConfig,
+    ProblemInstance,
+    identity_configuration,
+    overlap_configuration,
+)
 from ..dataio import (
     Table,
     TableError,
@@ -275,9 +282,6 @@ class ExplainRequest:
             for pair in self.overrides
         ):
             raise RequestValidationError("'overrides' must be an object")
-        bad = {key for key, _ in self.overrides} - set(CONFIG_OVERRIDE_FIELDS)
-        if bad:
-            raise RequestValidationError(f"unknown config overrides: {sorted(bad)}")
         if self.functions is not None:
             if not isinstance(self.functions, tuple) or not self.functions or not all(
                 isinstance(name, str) and name for name in self.functions
@@ -384,23 +388,32 @@ class ExplainRequest:
         return resolved
 
 
-def resolve_config(request: Optional[ExplainRequest]) -> AffidavitConfig:
-    """The search configuration a request asks for: its named base with its
-    overrides and engine choice applied on top.  An explicit
-    ``columnar_cache`` override wins over the ``engine`` field, which keeps
-    pre-``engine`` clients working.  ``engine="parallel"`` and the
-    :data:`LEGACY_OVERRIDE_FIELDS` are checked by :func:`_drop_legacy` and
-    then run as the columnar engine.
-    """
-    if request is None:
-        return identity_configuration()
-    factory = BASE_CONFIGS.get(request.config)
+def named_config(name: str) -> AffidavitConfig:
+    """The named base configuration (``"hid"`` or ``"hs"``)."""
+    factory = BASE_CONFIGS.get(name)
     if factory is None:
         raise RequestValidationError(
-            f"unknown config {request.config!r} (use {sorted(BASE_CONFIGS)})"
+            f"unknown config {name!r} (use {sorted(BASE_CONFIGS)})"
         )
-    overrides = dict(request.overrides)
-    _drop_legacy(overrides, request.engine)
+    return factory()
+
+
+def config_with_overrides(base: AffidavitConfig, overrides: Mapping[str, Any],
+                          engine: Optional[str] = None) -> AffidavitConfig:
+    """*base* with request-style *overrides* applied, fully validated.
+
+    Only :data:`CONFIG_OVERRIDE_FIELDS` are accepted.  The
+    :data:`LEGACY_OVERRIDE_FIELDS` are checked by :func:`_drop_legacy` and
+    then ignored, and an integer string is accepted for ``max_expansions``.
+    An *engine* selects ``columnar_cache`` unless the overrides set it
+    explicitly (which keeps pre-``engine`` clients working); ``None`` leaves
+    the base's engine alone.
+    """
+    overrides = dict(overrides)
+    unknown = set(overrides) - set(CONFIG_OVERRIDE_FIELDS)
+    if unknown:
+        raise RequestValidationError(f"unknown config overrides: {sorted(unknown)}")
+    _drop_legacy(overrides, ENGINE_COLUMNAR if engine is None else engine)
     max_expansions = overrides.get("max_expansions")
     if isinstance(max_expansions, str):
         # Integer strings ("7") are accepted; anything else is left to
@@ -412,12 +425,25 @@ def resolve_config(request: Optional[ExplainRequest]) -> AffidavitConfig:
                 f"invalid config overrides: max_expansions must be an integer, "
                 f"got {max_expansions!r}"
             ) from None
-    if "columnar_cache" not in overrides:
-        overrides["columnar_cache"] = request.engine != ENGINE_ROWWISE
+    if engine is not None and "columnar_cache" not in overrides:
+        overrides["columnar_cache"] = engine != ENGINE_ROWWISE
     try:
-        return factory().with_overrides(**overrides)
+        return base.with_overrides(**overrides)
     except (TypeError, ValueError) as error:
         raise RequestValidationError(f"invalid config overrides: {error}") from error
+
+
+def resolve_config(request: Optional[ExplainRequest]) -> AffidavitConfig:
+    """The search configuration a request asks for: its named base with its
+    overrides and engine choice applied on top (see
+    :func:`config_with_overrides`).  ``engine="parallel"`` runs as the
+    columnar engine.
+    """
+    if request is None:
+        return identity_configuration()
+    return config_with_overrides(
+        named_config(request.config), dict(request.overrides), request.engine
+    )
 
 
 def _drop_legacy(overrides: Dict[str, Any], engine: str) -> None:
@@ -468,6 +494,18 @@ def _drop_legacy(overrides: Dict[str, Any], engine: str) -> None:
         )
 
 
+def subset_registry(base: FunctionRegistry,
+                    names: Sequence[str]) -> FunctionRegistry:
+    """*base* restricted to the named meta-function families."""
+    try:
+        return base.subset(names)
+    except KeyError as error:
+        raise RequestValidationError(
+            f"unknown meta functions {sorted(set(names) - set(base.names))} "
+            f"(available: {base.names})"
+        ) from error
+
+
 def resolve_registry(request: Optional[ExplainRequest],
                      base: Optional[FunctionRegistry] = None) -> FunctionRegistry:
     """The meta-function pool a request asks for: the *base* registry (the
@@ -475,10 +513,26 @@ def resolve_registry(request: Optional[ExplainRequest],
     registry = base if base is not None else default_registry()
     if request is None or request.functions is None:
         return registry
-    try:
-        return registry.subset(request.functions)
-    except KeyError as error:
-        raise RequestValidationError(
-            f"unknown meta functions {list(set(request.functions) - set(registry.names))} "
-            f"(available: {registry.names})"
-        ) from error
+    return subset_registry(registry, request.functions)
+
+
+@dataclass(frozen=True)
+class PreparedRun:
+    """A request resolved by a session, ready to search.
+
+    :meth:`~repro.api.session.ExplainSession.prepare` builds it: the loaded
+    problem instance (with its function pool), the configuration the search
+    runs with, and how long loading took.  Everything that runs or labels
+    the request reads it from here, so one request is loaded, resolved and
+    keyed once.
+    """
+
+    instance: ProblemInstance
+    config: AffidavitConfig
+    #: The originating request; ``None`` for runs on a bare instance.
+    request: Optional[ExplainRequest] = None
+    load_seconds: float = 0.0
+    #: The ``provenance.base_config`` label: the request's named base, or
+    #: ``None`` when no request named the configuration that runs (a
+    #: session's pinned configuration, or no request at all).
+    base_config: Optional[str] = None

@@ -1,10 +1,13 @@
 """The session facade: the one place where work enters the search engine.
 
-:class:`ExplainSession` owns everything between a request and an outcome —
-registry resolution, configuration resolution, engine dispatch, progress and
-cancellation wiring — so the CLI, the HTTP service, the batch runner and
-library callers all behave identically.  Sessions are immutable; the fluent
-builder methods return new sessions:
+:class:`ExplainSession` owns everything between a request and an outcome.
+Its one :meth:`~ExplainSession.prepare` step loads the snapshots, builds the
+problem instance over the resolved function pool and resolves the
+configuration; :meth:`~ExplainSession.run` then does engine dispatch,
+progress and cancellation wiring.  The CLI, the HTTP service's job manager,
+the batch runner and library callers all go through those two steps, so
+they behave identically.  Sessions are immutable; the fluent builder
+methods return new sessions:
 
     >>> from repro.api import ExplainRequest, Session
     >>> outcome = (
@@ -32,7 +35,7 @@ from ..core import (
     SearchProgress,
     engine_name,
 )
-from ..dataio import Table
+from ..dataio import Table, TableError
 from ..dataio.buffers import (
     BufferFormatError,
     content_digest,
@@ -45,8 +48,15 @@ from .budget import TIER_FULL, ExplainBudget, validate_strategy
 from .errors import RequestValidationError
 from .events import SearchCompleted, SearchEvent, SearchProgressed, SearchStarted
 from .outcome import ExplainOutcome
-from .request import BASE_CONFIGS, ExplainRequest, resolve_registry
-from .request import resolve_config as _resolve_request_config
+from .request import (
+    ExplainRequest,
+    PreparedRun,
+    config_with_overrides,
+    named_config,
+    resolve_config,
+    resolve_registry,
+    subset_registry,
+)
 from .strategies import StrategyChain
 
 ProgressCallback = Callable[[SearchProgress], None]
@@ -167,24 +177,16 @@ class ExplainSession:
                     **overrides) -> "ExplainSession":
         """A session pinned to *config* — an :class:`AffidavitConfig`, a base
         name (``"hid"`` / ``"hs"``), or ``None`` to keep the current one —
-        with *overrides* applied on top."""
+        with *overrides* applied on top.  Names and overrides resolve exactly
+        as a request's do (:func:`~repro.api.request.config_with_overrides`):
+        the same values are accepted, and rejected with the same message."""
         if isinstance(config, str):
-            factory = BASE_CONFIGS.get(config)
-            if factory is None:
-                raise RequestValidationError(
-                    f"unknown config {config!r} (use {sorted(BASE_CONFIGS)})"
-                )
-            config = factory()
+            config = named_config(config)
         elif config is None:
             config = self._config
         if overrides:
-            base = config if config is not None else BASE_CONFIGS["hid"]()
-            try:
-                config = base.with_overrides(**overrides)
-            except (TypeError, ValueError) as error:
-                raise RequestValidationError(
-                    f"invalid config overrides: {error}"
-                ) from error
+            base = config if config is not None else named_config("hid")
+            config = config_with_overrides(base, overrides)
         return self._clone(config=config)
 
     def with_registry(self, registry: FunctionRegistry) -> "ExplainSession":
@@ -200,14 +202,7 @@ class ExplainSession:
         if len(names) == 1 and not isinstance(names[0], str):
             names = tuple(names[0])
         base = self._registry if self._registry is not None else default_registry()
-        try:
-            subset = base.subset(names)
-        except KeyError as error:
-            raise RequestValidationError(
-                f"unknown meta functions {sorted(set(names) - set(base.names))} "
-                f"(available: {base.names})"
-            ) from error
-        return self._clone(registry=subset)
+        return self._clone(registry=subset_registry(base, names))
 
     def with_progress(self, callback: ProgressCallback) -> "ExplainSession":
         """A session that also reports progress to *callback*."""
@@ -286,23 +281,58 @@ class ExplainSession:
         return self._registry
 
     def resolve_config(self, request: Optional[ExplainRequest] = None) -> AffidavitConfig:
-        """The configuration a run of *request* would use, fully validated:
-        the session's pinned configuration when one is set, otherwise the
-        request's named base plus its overrides and engine choice."""
+        """The configuration a run of *request* would use: the session's
+        pinned configuration when one is set, otherwise the request's named
+        base plus its overrides and engine choice."""
         if self._config is not None:
-            self._config.validate()
             return self._config
-        config = _resolve_request_config(request)
-        config.validate()
-        return config
+        return resolve_config(request)
 
     def resolve_registry(self, request: Optional[ExplainRequest] = None) -> FunctionRegistry:
         """The meta-function pool a run of *request* would use."""
         return resolve_registry(request, self._registry)
 
     # ------------------------------------------------------------------ #
-    # execution
+    # preparation
     # ------------------------------------------------------------------ #
+    def prepare(self, request: ExplainRequest) -> PreparedRun:
+        """Turn *request* into a run, timing the load.
+
+        Loads the two snapshots (paths confined to the session's data root,
+        through the snapshot cache when one is configured), builds the
+        problem instance over the resolved function pool and resolves the
+        configuration.  Every malformed request — unreadable or
+        inconsistent snapshots, unknown function names, invalid overrides —
+        raises :class:`RequestValidationError` here, before any search.
+        """
+        started = time.perf_counter()
+        source, target = self._load_tables(request)
+        try:
+            instance = ProblemInstance(
+                source=source, target=target,
+                registry=self.resolve_registry(request), name=request.name,
+            )
+        except TableError as error:
+            # Snapshots that violate the engine's input contract (mismatched
+            # schemas, reserved sentinel cells) are the client's problem.
+            raise RequestValidationError(str(error)) from error
+        return self._bind(instance, request, time.perf_counter() - started)
+
+    def _bind(self, instance: ProblemInstance, request: Optional[ExplainRequest],
+              load_seconds: float = 0.0) -> PreparedRun:
+        """The run of *request* on an already-built *instance*."""
+        return PreparedRun(
+            instance=instance,
+            config=self.resolve_config(request),
+            request=request,
+            load_seconds=load_seconds,
+            # A pinned configuration is not the request's named base.
+            base_config=(
+                None if request is None or self._config is not None
+                else request.config
+            ),
+        )
+
     def _snapshot_cache_path(self, request: ExplainRequest) -> Optional[Path]:
         """The content-addressed cache file for the request's snapshot bytes,
         or ``None`` when the bytes cannot be read (the CSV path will produce
@@ -327,52 +357,42 @@ class ExplainSession:
         digest = content_digest(*chunks, request.delimiter.encode("utf-8"))
         return self._snapshot_cache / f"{digest}.afbuf"
 
-    def _materialise(self, request: ExplainRequest) -> Tuple[ProblemInstance, float]:
-        """Load the request's snapshots into a problem instance, timing it.
+    def _load_tables(self, request: ExplainRequest) -> Tuple[Table, Table]:
+        """The request's two snapshots.
 
         With a snapshot cache configured (:meth:`with_snapshot_cache`), a
         cache hit mmap-s the binary buffer pack instead of re-parsing CSV;
         misses parse the CSV once and write the pack for next time.
         """
-        started = time.perf_counter()
-        source = target = None
         cache_path = None
         if self._snapshot_cache is not None:
             cache_path = self._snapshot_cache_path(request)
             if cache_path is not None:
                 try:
                     source, target, _name = open_snapshot_pair(cache_path)
+                    return source, target
                 except (BufferFormatError, OSError):
-                    # Missing or corrupt cache entry: rebuild from CSV below.
-                    source = target = None
-        if source is None or target is None:
-            source, target = request.load_tables(self._data_root)
-            if cache_path is not None:
-                try:
-                    write_snapshot_pair(
-                        source, target, cache_path, name=request.name
-                    )
-                except OSError:
-                    pass  # an unwritable cache never fails the run
-        registry = self.resolve_registry(request)
-        instance = ProblemInstance(
-            source=source, target=target, registry=registry, name=request.name
-        )
-        return instance, time.perf_counter() - started
+                    pass  # missing or corrupt cache entry: rebuild from CSV
+        source, target = request.load_tables(self._data_root)
+        if cache_path is not None:
+            try:
+                write_snapshot_pair(source, target, cache_path, name=request.name)
+            except OSError:
+                pass  # an unwritable cache never fails the run
+        return source, target
 
+    # ------------------------------------------------------------------ #
+    # execution
+    # ------------------------------------------------------------------ #
     def explain(self, request: ExplainRequest) -> ExplainOutcome:
         """Load the request's snapshots, run the search, return the outcome."""
-        instance, load_seconds = self._materialise(request)
-        return self._execute_routed(instance, request, load_seconds)
+        return self.run(self.prepare(request))
 
     def explain_instance(self, instance: ProblemInstance,
-                         request: Optional[ExplainRequest] = None,
-                         *, load_seconds: float = 0.0) -> ExplainOutcome:
+                         request: Optional[ExplainRequest] = None) -> ExplainOutcome:
         """Run the search on a pre-built instance (the instance's registry
-        wins over any ``request.functions`` subset).  *load_seconds* lets
-        callers that materialised the instance themselves report the real
-        loading cost in the outcome's timings."""
-        return self._execute_routed(instance, request, load_seconds)
+        wins over any ``request.functions`` subset)."""
+        return self.run(self._bind(instance, request))
 
     def explain_tables(self, source: Table, target: Table, *,
                        name: str = "instance") -> ExplainOutcome:
@@ -392,8 +412,8 @@ class ExplainSession:
         :class:`SearchProgressed` per expansion, one :class:`SearchCompleted`
         carrying the outcome.  Closing the iterator early cancels the search
         cooperatively (within one expansion)."""
-        instance, load_seconds = self._materialise(request)
-        config = self.resolve_config(request)
+        prepared = self.prepare(request)
+        instance = prepared.instance
 
         events: "queue.Queue[object]" = queue.Queue()
         abandoned = threading.Event()
@@ -406,8 +426,7 @@ class ExplainSession:
 
         def run() -> None:
             try:
-                outcome = streaming._execute_routed(instance, request, load_seconds)
-                events.put(SearchCompleted(outcome))
+                events.put(SearchCompleted(streaming.run(prepared)))
             except BaseException as error:  # noqa: BLE001 - re-raised in consumer
                 failure.append(error)
                 events.put(None)
@@ -421,7 +440,7 @@ class ExplainSession:
                 n_source_records=instance.n_source_records,
                 n_target_records=instance.n_target_records,
                 n_attributes=instance.n_attributes,
-                engine=engine_name(config),
+                engine=engine_name(prepared.config),
             )
             worker.start()
             while True:
@@ -436,18 +455,14 @@ class ExplainSession:
             if worker.is_alive():
                 worker.join()
 
-    # ------------------------------------------------------------------ #
-    # internals
-    # ------------------------------------------------------------------ #
-    def _execute_routed(self, instance: ProblemInstance,
-                        request: Optional[ExplainRequest],
-                        load_seconds: float) -> ExplainOutcome:
-        """Dispatch between the plain engine path and the strategy chain.
+    def run(self, prepared: PreparedRun) -> ExplainOutcome:
+        """Search a prepared run and return its outcome.
 
         The session's budget/strategy win over the request's; when neither
-        sets either, this is exactly :meth:`_execute` — the bit-identical,
-        pre-chain code path.
+        sets either, the run bypasses the strategy chain and stays
+        bit-identical to the plain engines.
         """
+        request = prepared.request
         budget = self._budget
         if budget is None and request is not None:
             budget = request.budget
@@ -455,22 +470,25 @@ class ExplainSession:
         if strategy is None and request is not None:
             strategy = request.strategy
         if budget is None and strategy is None:
-            return self._execute(instance, request, load_seconds)
+            return self._execute(prepared)
         chain = StrategyChain(self, budget=budget, strategy=strategy)
-        return chain.run(instance, request, load_seconds=load_seconds).outcome
+        return chain.run(prepared).outcome
 
-    def _execute(self, instance: ProblemInstance,
-                 request: Optional[ExplainRequest],
-                 load_seconds: float,
-                 *, tier: str = TIER_FULL,
+    # ------------------------------------------------------------------ #
+    # internals
+    # ------------------------------------------------------------------ #
+    def _execute(self, prepared: PreparedRun, *, tier: str = TIER_FULL,
                  confidence: Optional[str] = None) -> ExplainOutcome:
-        config = self.resolve_config(request)
+        """One search of *prepared* with the session's observers chained
+        after the configuration's own."""
+        config = prepared.config
         config = config.with_overrides(
             progress_callback=_chain_progress(
                 config.progress_callback, self._progress_callback
             ),
             should_stop=_chain_stop(config.should_stop, self._should_stop),
         )
+        load_seconds = prepared.load_seconds
         tracer = ensure_tracer(self._tracer)
         with tracer.span("explain") as root:
             if tracer.enabled and load_seconds > 0.0:
@@ -481,21 +499,14 @@ class ExplainSession:
                     start=max(0.0, tracer.now() - load_seconds),
                     duration=load_seconds,
                 ))
-            result = Affidavit(config, tracer=tracer).explain(instance)
+            result = Affidavit(config, tracer=tracer).explain(prepared.instance)
         trace = root.snapshot() if tracer is not NULL_TRACER else None
         _EXPLAINS_TOTAL.inc(engine=result.engine)
         if result.cancelled:
             _EXPLAINS_CANCELLED_TOTAL.inc()
         _EXPLAIN_LATENCY.observe(load_seconds + result.runtime_seconds)
         return ExplainOutcome.from_result(
-            result,
-            request=request,
-            instance=instance,
-            registry_names=tuple(instance.registry.names),
-            load_seconds=load_seconds,
-            trace=trace,
-            tier=tier,
-            confidence=confidence,
+            result, prepared, trace=trace, tier=tier, confidence=confidence,
         )
 
     # ------------------------------------------------------------------ #

@@ -42,12 +42,12 @@ from collections import OrderedDict
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple, Union
 
-from ..core import AffidavitConfig, ProblemInstance
+from ..core import AffidavitConfig
 from ..dataio import Table
 from ..obs import get_registry
 from .budget import CONFIDENCE_EXACT, TIER_FULL
 from .outcome import ExplainOutcome
-from .request import SCHEMA_VERSION, ExplainRequest
+from .request import SCHEMA_VERSION, PreparedRun
 
 logger = logging.getLogger("repro.api.store")
 
@@ -154,17 +154,14 @@ class ResultStore:
     # ------------------------------------------------------------------ #
     # the outcome level
     # ------------------------------------------------------------------ #
-    def get_outcome(self, key: str, *,
-                    request: Optional[ExplainRequest] = None,
-                    instance: Optional[ProblemInstance] = None,
-                    load_seconds: float = 0.0) -> Optional[ExplainOutcome]:
-        """The stored outcome under *key*, rebound to the asking run, or
+    def get_outcome(self, key: str, run: PreparedRun) -> Optional[ExplainOutcome]:
+        """The stored outcome under *key*, rebound to the asking *run*, or
         ``None`` on a miss.
 
         The explanation, costs, search counters and search time are the
         stored run's.  What describes the asker — the request, the
         materialised instance, its load time, the request's schema version,
-        base configuration and instance name — is this run's.
+        base configuration label and instance name — is *run*'s.
         """
         try:
             payload = self.get(key)
@@ -179,22 +176,19 @@ class ResultStore:
             logger.warning("result store payload for key %s is unreadable",
                            key[:12])
             return None
+        request = run.request
         provenance = replace(
             outcome.provenance,
             api_version=SCHEMA_VERSION if request is None else request.schema_version,
-            base_config=None if request is None else request.config,
-            instance_name=(
-                instance.name if instance is not None
-                else request.name if request is not None
-                else outcome.provenance.instance_name
-            ),
+            base_config=run.base_config,
+            instance_name=run.instance.name,
         )
         timings = replace(
-            outcome.timings, load_seconds=load_seconds,
-            total_seconds=load_seconds + outcome.timings.search_seconds,
+            outcome.timings, load_seconds=run.load_seconds,
+            total_seconds=run.load_seconds + outcome.timings.search_seconds,
         )
         return replace(outcome, provenance=provenance, timings=timings,
-                       idempotency_key=key, request=request, instance=instance)
+                       idempotency_key=key, request=request, instance=run.instance)
 
     def put_outcome(self, key: str, outcome: ExplainOutcome) -> bool:
         """Store *outcome* under *key* if it is exact — a full search that
@@ -387,18 +381,16 @@ class SqliteResultStore(ResultStore):
 def open_store(spec: Optional[str]) -> Optional[ResultStore]:
     """Build a store from a ``serve --store`` spec string.
 
-    ``None``/empty/``"none"`` return ``None`` (the service then keeps its
-    default in-process store); ``"memory"`` is the in-process backend;
-    ``"sqlite:PATH"`` (also ``sqlite:///PATH``) or a bare filesystem path
-    open the shared sqlite backend.
+    ``None``/empty/``"none"``/``"memory"`` return ``None``: the service
+    then keeps its default in-process store, sized by ``--cache-entries`` /
+    ``--cache-ttl``.  ``"sqlite:PATH"`` (also ``sqlite:///PATH``) or a bare
+    filesystem path open the shared sqlite backend.
     """
     if spec is None:
         return None
     spec = spec.strip()
-    if not spec or spec.lower() == "none":
+    if spec.lower() in ("", "none", "memory"):
         return None
-    if spec.lower() == "memory":
-        return MemoryResultStore()
     if spec.startswith("sqlite:"):
         path = spec[len("sqlite:"):]
         if path.startswith("///"):  # URI spelling: sqlite:///abs/path.db

@@ -53,10 +53,9 @@ from .budget import (
     validate_strategy,
 )
 from .outcome import ExplainOutcome
-from .request import ExplainRequest
+from .request import PreparedRun
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a module cycle
-    from ..core import ProblemInstance
     from .session import ExplainSession
 
 #: Expansion cap of the greedy tier: beam width 1 with β = 1 commits to one
@@ -99,6 +98,17 @@ def _labelled_by_content(outcome: ExplainOutcome) -> ExplainOutcome:
     return replace(outcome, provenance=replace(provenance, confidence=confidence))
 
 
+def _baseline_answer(explainer, prepared: PreparedRun) -> ExplainOutcome:
+    """The baseline *explainer*'s answer for *prepared*, labelled with the
+    run's base configuration (``None`` under a pinned configuration)."""
+    outcome = explainer.explain(
+        prepared.instance, request=prepared.request,
+        load_seconds=prepared.load_seconds,
+    )
+    return replace(outcome, provenance=replace(
+        outcome.provenance, base_config=prepared.base_config))
+
+
 @dataclass(frozen=True)
 class ChainRun:
     """A finished chain walk: the winning outcome plus every attempt."""
@@ -122,8 +132,8 @@ class StrategyChain:
     ----------
     session:
         The :class:`~repro.api.session.ExplainSession` the search tiers run
-        through (its configuration, registry and observers all apply
-        unchanged).
+        through (its observers apply unchanged; the configuration and the
+        function pool come from the prepared run).
     budget:
         The wall-clock budget; ``None`` walks the tiers without a deadline.
     strategy:
@@ -147,10 +157,8 @@ class StrategyChain:
     # ------------------------------------------------------------------ #
     # the walk
     # ------------------------------------------------------------------ #
-    def run(self, instance: "ProblemInstance",
-            request: Optional[ExplainRequest] = None,
-            *, load_seconds: float = 0.0) -> ChainRun:
-        """Walk the tiers for *instance* and return the winning outcome.
+    def run(self, prepared: PreparedRun) -> ChainRun:
+        """Walk the tiers for *prepared* and return the winning outcome.
 
         Never raises on tier failure and never returns without an answer:
         if every configured tier comes up empty, the trivial explanation is
@@ -188,9 +196,7 @@ class StrategyChain:
                         detail=CACHE_TIER_DETAIL,
                     )
                 elif name == TIER_GREEDY:
-                    result = self._run_greedy(
-                        instance, request, load_seconds, deadline, later, started
-                    )
+                    result = self._run_greedy(prepared, deadline, later, started)
                     stop_walking = (
                         result.status == STATUS_ANSWERED
                         and TIER_FULL not in later
@@ -198,16 +204,14 @@ class StrategyChain:
                     )
                 elif name == TIER_FULL:
                     result = self._run_full(
-                        instance, request, load_seconds, deadline,
-                        bool(candidates), started,
+                        prepared, deadline, bool(candidates), started,
                     )
                     # Nothing after the full search can improve on it; the
                     # baseline tiers are only insurance for when it never ran.
                     stop_walking = result.status == STATUS_ANSWERED
                 else:
                     result = self._run_baseline(
-                        name, instance, request, load_seconds,
-                        bool(candidates), started,
+                        name, prepared, bool(candidates), started,
                     )
                     stop_walking = (
                         result.status == STATUS_ANSWERED
@@ -227,9 +231,7 @@ class StrategyChain:
             started = time.perf_counter()
             from ..baselines.explainers import TrivialExplainer
 
-            outcome = TrivialExplainer().explain(
-                instance, request=request, load_seconds=load_seconds
-            )
+            outcome = _baseline_answer(TrivialExplainer(), prepared)
             record(TierResult(
                 tier=outcome.provenance.tier, status=STATUS_ANSWERED,
                 confidence=outcome.provenance.confidence,
@@ -263,17 +265,15 @@ class StrategyChain:
             return True
         return outcome.compression_ratio <= quality
 
-    def _run_greedy(self, instance: "ProblemInstance",
-                    request: Optional[ExplainRequest], load_seconds: float,
-                    deadline: Deadline, later: Tuple[str, ...],
-                    started: float) -> TierResult:
+    def _run_greedy(self, prepared: PreparedRun, deadline: Deadline,
+                    later: Tuple[str, ...], started: float) -> TierResult:
         if deadline.expired():
             return TierResult(
                 tier=TIER_GREEDY, status=STATUS_TIMEOUT,
                 elapsed_seconds=time.perf_counter() - started,
                 detail="budget exhausted before the tier could start",
             )
-        config = self._session.resolve_config(request)
+        config = prepared.config
         cap = (
             GREEDY_MAX_EXPANSIONS if config.max_expansions is None
             else min(config.max_expansions, GREEDY_MAX_EXPANSIONS)
@@ -288,12 +288,12 @@ class StrategyChain:
             )
         else:
             slice_deadline = deadline
-        runner = self._session.with_config(greedy_config)
+        runner = self._session
         predicate = slice_deadline.should_stop()
         if predicate is not None:
             runner = runner.with_cancellation(predicate)
         outcome = _labelled_by_content(runner._execute(
-            instance, request, load_seconds,
+            replace(prepared, config=greedy_config),
             tier=TIER_GREEDY, confidence=CONFIDENCE_APPROXIMATE,
         ))
         detail = (
@@ -307,10 +307,8 @@ class StrategyChain:
             detail=detail, outcome=outcome,
         )
 
-    def _run_full(self, instance: "ProblemInstance",
-                  request: Optional[ExplainRequest], load_seconds: float,
-                  deadline: Deadline, have_candidate: bool,
-                  started: float) -> TierResult:
+    def _run_full(self, prepared: PreparedRun, deadline: Deadline,
+                  have_candidate: bool, started: float) -> TierResult:
         if deadline.expired() and have_candidate:
             return TierResult(
                 tier=TIER_FULL, status=STATUS_TIMEOUT,
@@ -322,9 +320,7 @@ class StrategyChain:
         predicate = deadline.should_stop()
         if predicate is not None:
             runner = runner.with_cancellation(predicate)
-        outcome = _labelled_by_content(runner._execute(
-            instance, request, load_seconds, tier=TIER_FULL,
-        ))
+        outcome = _labelled_by_content(runner._execute(prepared, tier=TIER_FULL))
         confidence = outcome.provenance.confidence
         detail = (
             f"completed after {outcome.expansions} expansions"
@@ -338,8 +334,7 @@ class StrategyChain:
             detail=detail, outcome=outcome,
         )
 
-    def _run_baseline(self, name: str, instance: "ProblemInstance",
-                      request: Optional[ExplainRequest], load_seconds: float,
+    def _run_baseline(self, name: str, prepared: PreparedRun,
                       have_candidate: bool, started: float) -> TierResult:
         if have_candidate:
             return TierResult(
@@ -351,10 +346,7 @@ class StrategyChain:
         # module-level import here would cycle through the api package.
         from ..baselines.explainers import baseline_explainer
 
-        explainer = baseline_explainer(name)
-        outcome = explainer.explain(
-            instance, request=request, load_seconds=load_seconds
-        )
+        outcome = _baseline_answer(baseline_explainer(name), prepared)
         return TierResult(
             tier=name, status=STATUS_ANSWERED,
             confidence=outcome.provenance.confidence,

@@ -164,11 +164,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=2,
                        help="concurrent explain workers")
     serve.add_argument("--cache-entries", type=int, default=128,
-                       help="capacity of the default in-process result store "
-                            "(ignored with --store)")
+                       help="capacity of the in-process result store "
+                            "(ignored with a sqlite --store)")
     serve.add_argument("--cache-ttl", type=float, default=None,
-                       help="time-to-live in seconds of the default in-process "
-                            "result store (default: no expiry; ignored with --store)")
+                       help="time-to-live in seconds of the in-process result "
+                            "store (default: no expiry; ignored with a sqlite "
+                            "--store)")
     serve.add_argument("--data-root", type=Path, default=Path("."),
                        help="directory that server-side snapshot paths are confined "
                             "to (default: the working directory)")
@@ -179,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="request body size cap in bytes; larger bodies are "
                             "refused with HTTP 413 (default: 64 MiB)")
     serve.add_argument("--store", default=None, metavar="SPEC",
-                       help="result store instead of the default in-process one: "
-                            "'memory', 'sqlite:PATH' or a bare sqlite path; "
+                       help="result store: 'memory' (the default in-process "
+                            "one), 'sqlite:PATH' or a bare sqlite path; "
                             "replicas pointed at the same path deduplicate work")
     serve.add_argument("--queue-depth", type=int, default=None, metavar="N",
                        help="max jobs admitted (queued + running) before "

@@ -73,10 +73,6 @@ class AttributeFunction(abc.ABC):
         """``True`` when this function maps *source_value* to *target_value*."""
         return self.apply(source_value) == target_value
 
-    def apply_all(self, values: Iterable[str]) -> list:
-        """Apply to several values; not-applicable cells become ``None``."""
-        return [self.apply(value) for value in values]
-
     @property
     def is_identity(self) -> bool:
         """``True`` only for the identity function (overridden there)."""

@@ -4,8 +4,9 @@ The CLI runs one blocking search per invocation; production data-profiling
 instead wraps the expensive Affidavit analysis behind a long-running service.
 This package provides that serving layer with stdlib means only:
 
-* :mod:`.jobs` — a :class:`~repro.service.jobs.JobManager` with a priority
-  worker queue, per-job event buffers, admission control, cooperative
+* :mod:`.jobs` — a :class:`~repro.service.jobs.JobManager` that prepares
+  and runs every request through one :class:`~repro.api.ExplainSession`,
+  with a priority worker queue, per-job event buffers, admission control, cooperative
   cancellation and one result store (re-exported here from
   :mod:`repro.api.store`): repeated submissions of the same content —
   same parsed tables, resolved configuration and function pool, inline or
@@ -42,7 +43,6 @@ from .schemas import (
     JobView,
     ResultView,
     ValidationError,
-    config_from_request,
 )
 from .server import (
     CLIENT_ID_HEADER,
@@ -67,7 +67,6 @@ __all__ = [
     "JobView",
     "ResultView",
     "ValidationError",
-    "config_from_request",
     "AffidavitHTTPServer",
     "ClientQuotas",
     "CLIENT_ID_HEADER",

@@ -17,10 +17,9 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..api import ENGINE_PARALLEL, ExplainRequest, RequestValidationError
-from ..core import AffidavitConfig
 from ..export import explanation_to_dict
 from .jobs import Job, JobManager, JobState
 
@@ -114,34 +113,17 @@ def _explain_pair_process(request_payload: Dict) -> Dict:
     }
 
 
-def _run_batch_processes(pairs: Sequence[Tuple[str, Path, Path]], *,
+#: One pair's request, or ``None`` plus the reason it could not be built.
+PairRequest = Tuple[str, Optional[ExplainRequest], Optional[str]]
+
+
+def _run_batch_processes(requests: Sequence[PairRequest], *,
                          workers: int,
-                         base_name: str,
-                         overrides: Optional[Mapping[str, object]],
-                         delimiter: str,
-                         functions: Optional[Sequence[str]],
                          output_dir: Optional[Path],
                          timeout: Optional[float],
                          on_progress: Optional[Callable[[str, str], None]],
                          ) -> List[BatchOutcome]:
     """The ``engine="parallel"`` fan-out: one worker process per pair."""
-    requests: List[Tuple[str, Optional[Dict], Optional[str]]] = []
-    for name, source_path, target_path in pairs:
-        try:
-            request = ExplainRequest(
-                source_path=str(source_path),
-                target_path=str(target_path),
-                delimiter=delimiter,
-                config=base_name,
-                overrides={} if overrides is None else dict(overrides),
-                functions=None if functions is None else tuple(functions),
-                name=name,
-            )
-        except (RequestValidationError, OSError, ValueError) as error:
-            requests.append((name, None, str(error)))
-            continue
-        requests.append((name, request.to_dict(), None))
-
     outcomes: List[BatchOutcome] = []
     explanations: Dict[str, Dict] = {}
     timed_out = False
@@ -151,9 +133,9 @@ def _run_batch_processes(pairs: Sequence[Tuple[str, Path, Path]], *,
     )
     try:
         futures = [
-            None if payload is None
-            else executor.submit(_explain_pair_process, payload)
-            for _, payload, _ in requests
+            None if request is None
+            else executor.submit(_explain_pair_process, request.to_dict())
+            for _, request, _ in requests
         ]
         # Collect in submission order, reporting each pair as soon as its
         # future resolves — the same incremental progress the thread path
@@ -222,7 +204,7 @@ def _write_outputs(output_dir: Optional[Path], outcomes: Sequence[BatchOutcome],
 
 def run_batch(directory: Path, *,
               workers: int = 2,
-              config: Union[AffidavitConfig, str, None] = None,
+              config: str = "hid",
               overrides: Optional[Mapping[str, object]] = None,
               manager: Optional[JobManager] = None,
               delimiter: str = ",",
@@ -237,18 +219,14 @@ def run_batch(directory: Path, *,
     Parameters
     ----------
     config:
-        Either a base-configuration name (``"hid"`` / ``"hs"``) that goes
-        into every pair's :class:`~repro.api.ExplainRequest` (preferred —
-        outcomes then carry accurate provenance), or a pre-built
-        :class:`AffidavitConfig` applied verbatim to every pair, or ``None``
-        for the default.
+        The base-configuration name (``"hid"`` / ``"hs"``) that goes into
+        every pair's :class:`~repro.api.ExplainRequest`.
     overrides:
-        Per-request configuration overrides (e.g. ``{"seed": 7}``); only
-        meaningful with a named or default *config*.
+        Per-request configuration overrides (e.g. ``{"seed": 7}``).
     manager:
         Reuse an existing manager (e.g. the HTTP service's, sharing its
-        result store); otherwise a private pool of *workers* threads is created and
-        torn down around the batch.
+        result store and its session); otherwise a private pool of
+        *workers* threads is created and torn down around the batch.
     functions:
         Restrict the meta-function pool to these registry names for every
         pair (``None`` keeps the full default pool).
@@ -266,10 +244,6 @@ def run_batch(directory: Path, *,
         Called with ``(name, state)`` as each job finishes — lets the CLI
         stream a line per pair.
     """
-    if isinstance(config, str):
-        base_name, explicit_config = config, None
-    else:
-        base_name, explicit_config = "hid", config
     directory = Path(directory)
     pairs = discover_pairs(directory)
     if not pairs:
@@ -277,10 +251,29 @@ def run_batch(directory: Path, *,
             f"no '*{SOURCE_SUFFIX}' / '*{TARGET_SUFFIX}' pairs in {directory}"
         )
 
-    if engine == ENGINE_PARALLEL and manager is None and explicit_config is None:
+    # One unreadable pair must not sink the batch: record it as failed and
+    # keep going.
+    requests: List[PairRequest] = []
+    for name, source_path, target_path in pairs:
+        try:
+            request = ExplainRequest(
+                source_path=str(source_path),
+                target_path=str(target_path),
+                delimiter=delimiter,
+                config=config,
+                overrides={} if overrides is None else dict(overrides),
+                functions=None if functions is None else tuple(functions),
+                name=name,
+                **({} if engine is None else {"engine": engine}),
+            )
+        except (RequestValidationError, ValueError) as error:
+            requests.append((name, None, str(error)))
+        else:
+            requests.append((name, request, None))
+
+    if engine == ENGINE_PARALLEL and manager is None:
         return _run_batch_processes(
-            pairs, workers=workers, base_name=base_name, overrides=overrides,
-            delimiter=delimiter, functions=functions, output_dir=output_dir,
+            requests, workers=workers, output_dir=output_dir,
             timeout=timeout, on_progress=on_progress,
         )
 
@@ -288,27 +281,15 @@ def run_batch(directory: Path, *,
     if own_manager:
         manager = JobManager(workers=workers)
     try:
-        # One unreadable pair must not sink the batch: record it as failed
-        # and keep going.  Every pair becomes an ExplainRequest submitted
-        # through the repro.api layer (same path as the HTTP service).
         entries: List[Tuple[str, Optional[Job], Optional[str]]] = []
-        for name, source_path, target_path in pairs:
-            try:
-                request = ExplainRequest(
-                    source_path=str(source_path),
-                    target_path=str(target_path),
-                    delimiter=delimiter,
-                    config=base_name,
-                    overrides={} if overrides is None else dict(overrides),
-                    functions=None if functions is None else tuple(functions),
-                    name=name,
-                    **({} if engine is None else {"engine": engine}),
-                )
-                job = manager.submit_request(request, config=explicit_config)
-            except (RequestValidationError, OSError, ValueError) as error:
-                entries.append((name, None, str(error)))
-                continue
-            entries.append((name, job, None))
+        for name, request, error in requests:
+            job = None
+            if request is not None:
+                try:
+                    job = manager.submit_request(request)
+                except (RequestValidationError, OSError, ValueError) as failure:
+                    error = str(failure)
+            entries.append((name, job, error))
         outcomes: List[BatchOutcome] = []
         for name, job, error in entries:
             if job is None:

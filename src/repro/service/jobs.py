@@ -1,8 +1,10 @@
-"""Job manager: a bounded, priority-ordered worker pool around
-``Affidavit.explain``.
+"""Job manager: a bounded, priority-ordered worker pool around an
+:class:`~repro.api.ExplainSession`.
 
-One :class:`Job` is one explanation request for a snapshot pair.  Jobs move
-through the classic lifecycle
+One :class:`Job` is one explanation request for a snapshot pair.  The
+manager's session prepares every request (loads the snapshots, resolves the
+configuration and the function pool) and runs it, exactly as a library call
+would.  Jobs move through the classic lifecycle
 
     queued -> running -> done | failed | cancelled
 
@@ -56,7 +58,6 @@ import traceback
 import uuid
 from collections import deque
 from dataclasses import replace
-from pathlib import Path
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..api import (
@@ -64,24 +65,13 @@ from ..api import (
     ExplainRequest,
     ExplainSession,
     MemoryResultStore,
-    RequestValidationError,
+    PreparedRun,
     ResultStore,
     TERMINAL_FRAME_KINDS,
     idempotency_key,
     make_frame,
-    resolve_config,
-    resolve_registry,
 )
-from ..core import (
-    AffidavitConfig,
-    AffidavitResult,
-    ProblemInstance,
-    SearchProgress,
-    engine_name,
-    identity_configuration,
-)
-from ..dataio import Table, TableError
-from ..functions import FunctionRegistry
+from ..core import AffidavitResult, SearchProgress, engine_name
 from ..obs import get_registry
 
 #: One logger for the whole service tier; records carry the job id both in
@@ -115,7 +105,9 @@ _JOBS_BY_TIER = _job_metrics.counter(
     "Completed explain jobs by answering strategy tier and confidence",
     ("tier", "confidence"),
 )
-_ADMISSION_REJECTED = _job_metrics.counter(
+#: Submissions refused by admission control: ``queue_full`` here, and
+#: ``quota_exceeded`` for the HTTP layer's per-client quotas.
+ADMISSION_REJECTED = _job_metrics.counter(
     "repro_admission_rejected_total",
     "Submissions rejected by admission control",
     ("reason",),
@@ -146,16 +138,6 @@ class AdmissionError(RuntimeError):
         super().__init__(message)
         self.reason = reason
         self.retry_after_seconds = retry_after_seconds
-
-
-def _without_base_config(outcome: ExplainOutcome) -> ExplainOutcome:
-    """Clear ``provenance.base_config`` on outcomes whose configuration was
-    supplied explicitly rather than resolved from the request."""
-    if outcome.provenance.base_config is None:
-        return outcome
-    return replace(
-        outcome, provenance=replace(outcome.provenance, base_config=None)
-    )
 
 
 class JobState(enum.Enum):
@@ -263,23 +245,19 @@ class Job:
     polling.
     """
 
-    def __init__(self, job_id: str, name: str, key: str,
-                 instance: Optional[ProblemInstance] = None,
-                 request: Optional[ExplainRequest] = None,
-                 seq: int = 0, priority: int = 0):
+    def __init__(self, job_id: str, key: str, run: PreparedRun, seq: int = 0):
         self.id = job_id
-        self.name = name
         self.key = key
         #: Monotonic submission number — the jobs-listing cursor.
         self.seq = seq
+        #: The originating :class:`repro.api.ExplainRequest`.
+        self.request: ExplainRequest = run.request
+        self.name = self.request.name
         #: Scheduling priority (higher dequeues first).
-        self.priority = priority
+        self.priority = self.request.priority
         #: Retained for result rendering (SQL scripts and reports need the
         #: snapshots, not just the explanation).
-        self.instance = instance
-        #: The originating :class:`repro.api.ExplainRequest` for request-driven
-        #: submissions (``None`` for the table-level ``submit`` path).
-        self.request = request
+        self.instance = run.instance
         #: The streamable event history of this job.
         self.events = JobEventBuffer(job_id)
         self.submitted_at = time.time()
@@ -399,6 +377,11 @@ class JobManager:
     ----------
     workers:
         Number of concurrent explain workers (>= 1).
+    session:
+        The :class:`~repro.api.ExplainSession` that prepares and runs every
+        job: its data root confines path requests, its function pool is the
+        one requests subset, and its observers see every job's search.
+        Defaults to a plain ``ExplainSession()``.
     cache_entries / cache_ttl:
         Sizing of the default in-process
         :class:`~repro.api.store.MemoryResultStore` (ignored when *store* is
@@ -422,6 +405,7 @@ class JobManager:
     """
 
     def __init__(self, workers: int = 2, *,
+                 session: Optional[ExplainSession] = None,
                  cache_entries: int = 128,
                  cache_ttl: Optional[float] = None,
                  store: Optional[ResultStore] = None,
@@ -435,6 +419,7 @@ class JobManager:
             raise ValueError(
                 f"max_queue_depth must be >= 1 or None, got {max_queue_depth}")
         self.workers = workers
+        self.session = session if session is not None else ExplainSession()
         self.max_retained_jobs = max_retained_jobs
         self.max_queue_depth = max_queue_depth
         self.store = store if store is not None else MemoryResultStore(
@@ -462,46 +447,14 @@ class JobManager:
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
-    def submit(self, source: Table, target: Table, *,
-               config: Optional[AffidavitConfig] = None,
-               name: str = "instance",
-               registry: Optional[FunctionRegistry] = None,
-               throttle_seconds: float = 0.0,
-               use_cache: bool = True,
-               priority: int = 0) -> Job:
-        """Queue one explain job and return its :class:`Job` handle.
+    def submit_request(self, request: ExplainRequest) -> Job:
+        """Queue one explain job for *request* and return its :class:`Job`.
 
-        *throttle_seconds* inserts a sleep after every expansion — a
-        rate-limiting and testing knob that makes search duration
-        controllable without touching the instance.
-        """
-        if self._closed:
-            raise RuntimeError("JobManager is shut down")
-        config = config or identity_configuration()
-        if registry is not None:
-            instance = ProblemInstance(source=source, target=target,
-                                       registry=registry, name=name)
-        else:
-            instance = ProblemInstance(source=source, target=target, name=name)
-        key = idempotency_key(source, target, config,
-                              tuple(instance.registry.names))
-        job = self._new_job(name, key, instance, priority=priority)
-        return self._enqueue(job, instance, config, throttle_seconds, use_cache)
-
-    def submit_request(self, request: ExplainRequest, *,
-                       data_root: Optional[Path] = None,
-                       config: Optional[AffidavitConfig] = None,
-                       registry: Optional[FunctionRegistry] = None) -> Job:
-        """Queue one explain job described by a :class:`repro.api.ExplainRequest`.
-
-        This is the canonical entry point used by the HTTP service and the
-        batch runner: the request's snapshots are materialised (confined to
-        *data_root* when given), its configuration and registry subset are
-        resolved through :mod:`repro.api`, and the idempotency key digests
-        the parsed tables, the resolved configuration and the function pool.
-        An explicit *config* / *registry* replaces the request's named base
-        (the batch runner passes its already-resolved configuration this
-        way).
+        The manager's session prepares the request — loads its snapshots,
+        resolves its configuration and function pool — and the idempotency
+        key digests the parsed tables, the resolved configuration and the
+        function pool.  With ``request.use_cache`` a stored exact answer
+        under that key finishes the job at once.
 
         Raises :class:`repro.api.RequestValidationError` for malformed
         requests, unreadable snapshots or unknown function names, and
@@ -509,67 +462,29 @@ class JobManager:
         """
         if self._closed:
             raise RuntimeError("JobManager is shut down")
-        started = time.perf_counter()
-        source, target = request.load_tables(data_root)
-        resolved_config = config if config is not None else resolve_config(request)
-        resolved_registry = resolve_registry(request, registry)
-        try:
-            instance = ProblemInstance(
-                source=source, target=target, registry=resolved_registry,
-                name=request.name,
-            )
-        except TableError as error:
-            # Snapshots that violate the engine's input contract (mismatched
-            # schemas, reserved sentinel cells) are the client's problem.
-            raise RequestValidationError(str(error)) from error
-        load_seconds = time.perf_counter() - started
-        key = idempotency_key(source, target, resolved_config,
-                              tuple(resolved_registry.names))
-        job = self._new_job(request.name, key, instance, request=request,
-                            priority=request.priority)
-        return self._enqueue(
-            job, instance, resolved_config,
-            request.throttle_seconds, request.use_cache,
-            config_overridden=config is not None,
-            load_seconds=load_seconds,
-        )
-
-    def _new_job(self, name: str, key: str, instance: ProblemInstance,
-                 request: Optional[ExplainRequest] = None,
-                 priority: int = 0) -> Job:
+        run = self.session.prepare(request)
+        instance = run.instance
+        key = idempotency_key(instance.source, instance.target, run.config,
+                              tuple(instance.registry.names))
         seq = next(self._counter)
-        job_id = f"job-{seq:04d}-{uuid.uuid4().hex[:8]}"
-        return Job(job_id, name, key, instance, request=request,
-                   seq=seq, priority=priority)
-
-    def _enqueue(self, job: Job, instance: ProblemInstance,
-                 config: AffidavitConfig, throttle_seconds: float,
-                 use_cache: bool, config_overridden: bool = False,
-                 load_seconds: float = 0.0) -> Job:
+        job = Job(f"job-{seq:04d}-{uuid.uuid4().hex[:8]}", key, run, seq=seq)
         job._on_terminal = self._on_job_terminal
-        if use_cache:
-            outcome = self.store.get_outcome(
-                job.key, request=job.request, instance=instance,
-                load_seconds=load_seconds,
-            )
+        if request.use_cache:
+            outcome = self.store.get_outcome(key, run)
             if outcome is not None:
                 self._register(job)
-                if config_overridden:
-                    outcome = _without_base_config(outcome)
                 job._transition(JobState.DONE, outcome=outcome, cache_hit=True)
                 return job
 
         self._admit(job)
-        self._register(job, queued=True)
+        self._register(job)
         # PriorityQueue orders ascending, so higher priorities are negated;
         # the submission order breaks ties and keeps the job tuple out of
         # the comparison.
-        self._queue.put((-job.priority, next(self._order),
-                         (job, instance, config, throttle_seconds, use_cache,
-                          config_overridden, load_seconds)))
+        self._queue.put((-job.priority, next(self._order), (job, run)))
         return job
 
-    def _register(self, job: Job, queued: bool = False) -> None:
+    def _register(self, job: Job) -> None:
         _JOBS_SUBMITTED.inc()
         _JOBS_QUEUE_DEPTH.inc()
         logger.info("job %s submitted (%s)%s", job.id, job.name,
@@ -591,7 +506,7 @@ class JobManager:
             if self.max_queue_depth is not None \
                     and self._active >= self.max_queue_depth:
                 retry = self._retry_after_locked()
-                _ADMISSION_REJECTED.inc(reason="queue_full")
+                ADMISSION_REJECTED.inc(reason="queue_full")
                 raise AdmissionError(
                     f"job queue is full ({self._active} jobs admitted, "
                     f"limit {self.max_queue_depth}); retry in ~{retry}s",
@@ -679,10 +594,7 @@ class JobManager:
                 job._transition(JobState.FAILED,
                                 error=traceback.format_exc(limit=20))
 
-    def _run(self, job: Job, instance: ProblemInstance,
-             config: AffidavitConfig, throttle_seconds: float,
-             use_cache: bool, config_overridden: bool = False,
-             load_seconds: float = 0.0) -> None:
+    def _run(self, job: Job, run: PreparedRun) -> None:
         if job._cancel_event.is_set() or job.state.is_terminal:
             job._transition(JobState.CANCELLED, error="cancelled before start")
             return
@@ -690,29 +602,17 @@ class JobManager:
         if job.state.is_terminal:
             # Lost the race against a concurrent cancel — don't search.
             return
+        instance = run.instance
         job.events.append(
             "started",
             name=instance.name,
             n_source_records=instance.n_source_records,
             n_target_records=instance.n_target_records,
             n_attributes=instance.n_attributes,
-            engine=engine_name(config),
+            engine=engine_name(run.config),
         )
 
-        user_should_stop = config.should_stop
-        user_progress = config.progress_callback
-        # Set once the job's own cancel or the caller's should_stop stopped
-        # the search.  A budget deadline stops it too, but that is an answer
-        # (confidence "partial"), not a cancelled job.
-        stopped = threading.Event()
-
-        def should_stop() -> bool:
-            if job._cancel_event.is_set() or (
-                    user_should_stop is not None and user_should_stop()):
-                stopped.set()
-                return True
-            return False
-
+        throttle_seconds = job.request.throttle_seconds
         # Monotonic time before which no further progressed frame is
         # published; the first expansion always gets one.
         next_frame_at = 0.0
@@ -731,44 +631,27 @@ class JobManager:
                     best_cost=progress.best_cost,
                     cache_hit_rate=round(progress.cache_hit_rate, 4),
                 )
-            if user_progress is not None:
-                user_progress(progress)
             if throttle_seconds > 0:
                 time.sleep(throttle_seconds)
 
-        # All execution flows through the repro.api session facade — the
-        # worker's closures replace the config's own observers (they already
-        # chain the user's callbacks captured above).
         session = (
-            ExplainSession(
-                config=config.with_overrides(
-                    should_stop=None, progress_callback=None
-                ),
-            )
+            self.session
             .with_progress(on_progress)
-            .with_cancellation(should_stop)
+            .with_cancellation(job._cancel_event.is_set)
         )
         try:
-            outcome = session.explain_instance(
-                instance, request=job.request, load_seconds=load_seconds
-            )
+            outcome = session.run(run)
         except Exception:  # noqa: BLE001 - a job failure must not kill the worker
             job._transition(JobState.FAILED, error=traceback.format_exc(limit=20))
             return
-        if outcome.result is not None:
-            # Hand the result back with the caller's config: the run config's
-            # observer closures capture this job (and so both snapshot
-            # tables).  Baseline tiers answer without a search result.
-            outcome = replace(outcome, result=replace(outcome.result, config=config))
         outcome = replace(outcome, idempotency_key=job.key)
-        if config_overridden:
-            # The run's configuration was supplied explicitly, so the
-            # request's named base did not determine it — don't claim it did.
-            outcome = _without_base_config(outcome)
-        if stopped.is_set() or job._cancel_event.is_set():
+        # A plain run stops early only when asked to — by this job's cancel
+        # or the session's own should_stop.  Inside the strategy chain a
+        # deadline stops it too, and that is an answer, not a cancelled job.
+        if job._cancel_event.is_set() or (outcome.cancelled and outcome.tiers is None):
             job._transition(JobState.CANCELLED, outcome=outcome)
             return
-        if use_cache:
+        if job.request.use_cache:
             self.store.put_outcome(job.key, outcome)
         job._transition(JobState.DONE, outcome=outcome)
 

@@ -14,13 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-from ..api import (
-    CONFIG_OVERRIDE_FIELDS,
-    ExplainRequest,
-    RequestValidationError,
-    resolve_config,
-)
-from ..core import AffidavitConfig
+from ..api import CONFIG_OVERRIDE_FIELDS, ExplainRequest, RequestValidationError
 from ..export import explanation_to_dict
 
 #: Backwards-compatible alias: the server still catches ``ValidationError``.
@@ -32,13 +26,7 @@ __all__ = [
     "JobView",
     "ResultView",
     "ValidationError",
-    "config_from_request",
 ]
-
-
-def config_from_request(request: ExplainRequest) -> AffidavitConfig:
-    """Build the search configuration named by the request plus overrides."""
-    return resolve_config(request)
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,8 @@ from urllib.parse import parse_qs, urlparse
 from .. import __version__
 from ..api import (
     TERMINAL_FRAME_KINDS,
+    ExplainSession,
+    MemoryResultStore,
     ResultStore,
     heartbeat_frame,
     make_frame,
@@ -66,7 +68,14 @@ from ..api import (
 )
 from ..export import explanation_to_sql, render_report
 from ..obs import PROM_CONTENT_TYPE, get_registry, render_prometheus
-from .jobs import AdmissionError, JobManager, JobNotFound, JobState, logger
+from .jobs import (
+    ADMISSION_REJECTED,
+    AdmissionError,
+    JobManager,
+    JobNotFound,
+    JobState,
+    logger,
+)
 from .schemas import (
     ExplainRequest,
     JobView,
@@ -193,11 +202,6 @@ _HTTP_LATENCY = _http_metrics.histogram(
     "HTTP request handling latency, by method and route template",
     ("method", "route"),
 )
-_ADMISSION_REJECTED = _http_metrics.counter(
-    "repro_admission_rejected_total",
-    "Submissions rejected by admission control",
-    ("reason",),
-)
 
 
 class AffidavitHTTPServer(ThreadingHTTPServer):
@@ -207,14 +211,13 @@ class AffidavitHTTPServer(ThreadingHTTPServer):
     allow_reuse_address = True
 
     def __init__(self, address: Tuple[str, int], manager: JobManager, *,
-                 data_root: Optional[Path] = None, verbose: bool = False,
+                 verbose: bool = False,
                  max_body_bytes: int = MAX_BODY_BYTES,
                  quotas: Optional[ClientQuotas] = None,
                  heartbeat_seconds: float = DEFAULT_HEARTBEAT_SECONDS,
                  owned_store: Optional[ResultStore] = None):
         super().__init__(address, _Handler)
         self.manager = manager
-        self.data_root = data_root
         self.verbose = verbose
         if max_body_bytes < 1:
             raise ValueError(f"max_body_bytes must be >= 1, got {max_body_bytes}")
@@ -330,7 +333,7 @@ class _Handler(BaseHTTPRequestHandler):
             client = (self.headers.get(CLIENT_ID_HEADER) or "").strip() or "anonymous"
             retry = self.server.quotas.try_acquire(client)
             if retry is not None:
-                _ADMISSION_REJECTED.inc(reason="quota_exceeded")
+                ADMISSION_REJECTED.inc(reason="quota_exceeded")
                 # The body stays unread; the connection must close so the
                 # unparsed bytes cannot masquerade as the next request.
                 self.close_connection = True
@@ -342,12 +345,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             payload = self._read_json_body()
             request = ExplainRequest.from_dict(payload)
-            # Everything enters the engine through repro.api: the manager
-            # resolves config/registry and derives the idempotency key from
-            # the parsed tables, the resolved config and the function pool.
-            job = self.server.manager.submit_request(
-                request, data_root=self.server.data_root
-            )
+            # The manager's session loads the snapshots (confined to the
+            # served data root) and resolves the config and function pool.
+            job = self.server.manager.submit_request(request)
         except _HttpError as error:
             self._send_error(error.status, error.code, str(error))
             return
@@ -678,10 +678,12 @@ def create_server(host: str = "127.0.0.1", port: int = 0, *,
 
     *store* is either a live :class:`~repro.api.store.ResultStore`
     (shared with other replicas in-process; the caller closes it) or a spec
-    string for :func:`~repro.api.store.open_store` (``"memory"``,
-    ``"sqlite:PATH"`` or a bare path; the server closes it on shutdown).
-    Without one, the manager keeps an in-process memory store sized by
+    string for :func:`~repro.api.store.open_store` (``"sqlite:PATH"`` or a
+    bare path; the server closes it on shutdown).  Without one — or with
+    ``"memory"`` — the manager keeps its in-process memory store sized by
     *cache_entries* / *cache_ttl*.
+    *data_root* confines server-side snapshot paths; it becomes the data
+    root of the manager's session (a caller-built *manager* brings its own).
     *quota_rate*/*quota_burst* enable per-client token-bucket admission;
     *max_queue_depth* bounds admitted jobs (429 + ``Retry-After`` beyond).
     """
@@ -689,14 +691,18 @@ def create_server(host: str = "127.0.0.1", port: int = 0, *,
     if isinstance(store, str):
         store = owned_store = open_store(store)
     if manager is None:
-        manager = JobManager(workers=workers, cache_entries=cache_entries,
+        manager = JobManager(workers=workers,
+                             session=ExplainSession(data_root=data_root),
+                             cache_entries=cache_entries,
                              cache_ttl=cache_ttl, store=store,
                              max_queue_depth=max_queue_depth)
+    elif data_root is not None:
+        raise ValueError("a caller-built manager confines paths through its "
+                         "own session; pass data_root to that session")
     quotas = None
     if quota_rate is not None:
         quotas = ClientQuotas(quota_rate, quota_burst)
-    return AffidavitHTTPServer((host, port), manager,
-                               data_root=data_root, verbose=verbose,
+    return AffidavitHTTPServer((host, port), manager, verbose=verbose,
                                max_body_bytes=max_body_bytes,
                                quotas=quotas,
                                heartbeat_seconds=heartbeat_seconds,
@@ -747,7 +753,7 @@ def serve_forever(host: str = "127.0.0.1", port: int = 8080, *,
         "(%s workers, %s store%s%s%s)",
         bound_host, bound_port, workers,
         server.manager.store.backend,
-        "" if store is not None
+        "" if not isinstance(server.manager.store, MemoryResultStore)
         else f" of {cache_entries} entries"
         + ("" if cache_ttl is None else f", ttl {cache_ttl:g}s"),
         "" if max_queue_depth is None else f", queue depth {max_queue_depth}",

@@ -1,6 +1,7 @@
 """Tests of the session facade, outcomes and the streaming event surface."""
 
 import json
+import sys
 
 import pytest
 
@@ -17,7 +18,7 @@ from repro.api import (
     Session,
     UnsupportedSchemaVersion,
 )
-from repro.core import identity_configuration
+from repro.core import identity_configuration, overlap_configuration
 from repro.dataio import Schema, Table, write_csv
 
 
@@ -103,6 +104,63 @@ class TestExplain:
         assert config.start_strategy == "overlap" and config.seed == 3
         with pytest.raises(RequestValidationError, match="unknown config"):
             Session().with_config("warp-drive")
+
+    def test_pinned_config_does_not_claim_the_request_base(self):
+        # The request names "hid", but the session's pinned Hs ran.
+        outcome = Session(config=overlap_configuration()).explain(
+            division_request(config="hid")
+        )
+        assert outcome.result.config.start_strategy == "overlap"
+        assert outcome.provenance.base_config is None
+        # Every tier of the strategy chain says the same.
+        for strategy in (("greedy",), ("full",), ("trivial",), ("keyed_diff",)):
+            tiered = Session(config=overlap_configuration()).explain(
+                division_request(config="hid", strategy=strategy)
+            )
+            assert tiered.provenance.tier == strategy[0]
+            assert tiered.provenance.base_config is None
+            unpinned = Session().explain(
+                division_request(config="hs", strategy=strategy)
+            )
+            assert unpinned.provenance.base_config == "hs"
+        unpinned = Session().explain(division_request(config="hs"))
+        assert unpinned.provenance.base_config == "hs"
+
+    def test_reserved_sentinel_cell_is_an_invalid_request(self):
+        from repro.core.colcache import NOT_APPLICABLE
+
+        request = ExplainRequest(source_csv=f"K\nplain\n{NOT_APPLICABLE}\n",
+                                 target_csv="K\nplain\n")
+        # Before Python 3.11 the csv module itself rejects the NUL byte in
+        # the sentinel; either way the request is invalid, not a crash.
+        reason = "NOT_APPLICABLE" if sys.version_info >= (3, 11) else "NUL"
+        with pytest.raises(RequestValidationError, match=reason):
+            Session().explain(request)
+        with pytest.raises(RequestValidationError, match=reason):
+            next(Session().explain_iter(request))
+
+    @pytest.mark.parametrize("overrides", [
+        {"max_expansions": "7"},
+        {"column_cache_entries": 5},
+        {"seed": 3, "blocking_cache_size": 2, "columnar_cache": False},
+    ])
+    def test_with_config_resolves_overrides_like_a_request(self, overrides):
+        pinned = Session().with_config("hs", **overrides).resolve_config()
+        request = division_request(config="hs", overrides=overrides)
+        assert pinned == Session().resolve_config(request)
+
+    @pytest.mark.parametrize("overrides", [
+        {"warp": 1},
+        {"max_expansions": "seven"},
+        {"column_cache_entries": 0},
+        {"alpha": 2.0},
+    ])
+    def test_with_config_rejects_overrides_like_a_request(self, overrides):
+        with pytest.raises(RequestValidationError) as by_request:
+            division_request(overrides=overrides)
+        with pytest.raises(RequestValidationError) as by_session:
+            Session().with_config("hid", **overrides)
+        assert str(by_session.value) == str(by_request.value)
 
     def test_explain_tables_convenience(self):
         source, target = division_tables()

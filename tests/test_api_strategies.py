@@ -205,9 +205,9 @@ class TestStoreOutcomeLevel:
     def test_stored_outcome_equals_a_fresh_run(self, store, flight_request):
         session = ExplainSession().with_budget(60_000, strategy=("full",))
         fresh = session.explain(flight_request)
-        instance, _ = session._materialise(flight_request)
-        key = idempotency_key(instance.source, instance.target,
-                              session.resolve_config(flight_request),
+        run = session.prepare(flight_request)
+        instance = run.instance
+        key = idempotency_key(instance.source, instance.target, run.config,
                               tuple(instance.registry.names))
         assert store.put_outcome(key, fresh)
         stored = ExplainOutcome.from_dict(store.get(key))
@@ -218,8 +218,7 @@ class TestStoreOutcomeLevel:
         assert stored.provenance == fresh.provenance
         assert stored.timings.search_seconds == fresh.timings.search_seconds
         assert stored.tiers is None  # the attempt log describes one run
-        hit = store.get_outcome(key, request=flight_request, instance=instance,
-                                load_seconds=0.25)
+        hit = store.get_outcome(key, replace(run, load_seconds=0.25))
         assert (hit.explanation, hit.cost, hit.expansions) == \
             (fresh.explanation, fresh.cost, fresh.expansions)
         assert hit.provenance.tier == "full"
@@ -238,7 +237,7 @@ class TestStoreOutcomeLevel:
         assert cut.provenance.confidence == "trivial"  # cut at the start
         assert not store.put_outcome("cut", cut)
         assert store.stats().puts == 0
-        assert store.get_outcome("cut") is None
+        assert store.get_outcome("cut", ExplainSession().prepare(flight_request)) is None
 
 
 class TestRetiredCacheTierWireCompat:
@@ -422,10 +421,7 @@ class TestStrategyChain:
     def test_chain_run_exposes_the_answering_tier(self):
         session = ExplainSession()
         request = inline_request()
-        instance, load_seconds = session._materialise(request)
-        run = StrategyChain(session, strategy=("full",)).run(
-            instance, request, load_seconds=load_seconds
-        )
+        run = StrategyChain(session, strategy=("full",)).run(session.prepare(request))
         assert isinstance(run, ChainRun)
         assert run.answered_by == "full"
         assert run.confidence == "exact"
@@ -480,7 +476,7 @@ class TestBudgetNoneBitIdentity:
         }, engine=self.ENGINE_REQUESTS[label]["engine"])
         with ExplainSession() as session:
             outcome = session.explain(request)
-        instance, _ = ExplainSession()._materialise(inline_request())
+        instance = ExplainSession().prepare(inline_request()).instance
         direct = Affidavit(identity_configuration(seed=13)).explain(instance)
         assert outcome.tiers is None
         assert outcome.cost == direct.cost

@@ -1,6 +1,7 @@
 """Tests of the command-line interface (repro.cli)."""
 
 import json
+import sys
 
 import pytest
 
@@ -125,6 +126,19 @@ class TestExplainCommand:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             main(["explain", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")])
+
+    def test_reserved_sentinel_cell_exits_2_without_traceback(self, tmp_path, capsys):
+        from repro.core.colcache import NOT_APPLICABLE
+
+        source_path, target_path = tmp_path / "s.csv", tmp_path / "t.csv"
+        source_path.write_text(f"K\nplain\n{NOT_APPLICABLE}\n", encoding="utf-8")
+        target_path.write_text("K\nplain\n", encoding="utf-8")
+        exit_code = main(["explain", str(source_path), str(target_path), "--quiet"])
+        assert exit_code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if sys.version_info >= (3, 11):  # older csv modules reject the NUL first
+            assert "NOT_APPLICABLE" in err
 
 
 class TestGenerateCommand:

@@ -156,8 +156,9 @@ class TestJobManagerEngines:
             source_path=str(running_files / "s.csv"),
             target_path=str(running_files / "t.csv"),
         ))
-        with JobManager(workers=1) as manager:
-            job = manager.submit_request(request, data_root=running_files)
+        session = Session().with_data_root(running_files)
+        with JobManager(workers=1, session=session) as manager:
+            job = manager.submit_request(request)
             assert job.wait(60.0)
             assert job.error is None
             assert job.outcome.provenance.engine == ENGINE_RUN[engine]

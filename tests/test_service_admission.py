@@ -1,9 +1,9 @@
 """Admission control: bounded queue depth, per-client quotas, priorities.
 
 The deterministic saturation pattern from the cancellation tests: a blocker
-job parks inside its progress callback on a threading.Event, so the worker
-pool is provably busy while the assertions run — no sleeps, no racing the
-scheduler.
+job parks inside its session's progress callback on a threading.Event, so
+the worker pool is provably busy while the assertions run — no sleeps, no
+racing the scheduler.
 """
 
 from __future__ import annotations
@@ -16,35 +16,34 @@ import urllib.request
 
 import pytest
 
-from repro.core import identity_configuration
-from repro.dataio import read_csv_text
+from repro.api import ExplainRequest, ExplainSession
 from repro.service import AdmissionError, JobManager, JobState, create_server
 from repro.service.server import ClientQuotas
 
 
-def make_pair(salt: int):
+def make_request(salt: int, **kwargs) -> ExplainRequest:
     """A distinct snapshot pair per salt (distinct idempotency keys)."""
-    source = read_csv_text(
-        "id,val\n" + "".join(f"{i},{i * 100 * salt}\n" for i in range(1, 5))
+    return ExplainRequest(
+        source_csv="id,val\n" + "".join(f"{i},{i * 100 * salt}\n" for i in range(1, 5)),
+        target_csv="id,val\n" + "".join(f"{i},{i * salt}\n" for i in range(1, 5)),
+        **kwargs,
     )
-    target = read_csv_text(
-        "id,val\n" + "".join(f"{i},{i * salt}\n" for i in range(1, 5))
-    )
-    return source, target
 
 
 @pytest.fixture
 def gate():
-    """(config, in_search, release): a search that parks until released."""
+    """(session, in_search, release, armed): once *armed* is set, every
+    search of *session* parks at its first expansion until released."""
     in_search = threading.Event()
     release = threading.Event()
+    armed = threading.Event()
 
     def parked(progress) -> None:
-        in_search.set()
-        release.wait(timeout=30.0)
+        if armed.is_set():
+            in_search.set()
+            release.wait(timeout=30.0)
 
-    config = identity_configuration().with_overrides(progress_callback=parked)
-    yield config, in_search, release
+    yield ExplainSession().with_progress(parked), in_search, release, armed
     release.set()
 
 
@@ -52,15 +51,16 @@ def gate():
 # manager-level queue depth
 # --------------------------------------------------------------------- #
 def test_saturated_queue_rejects_with_retry_after(gate):
-    config, in_search, release = gate
-    with JobManager(workers=1, max_queue_depth=2) as manager:
-        blocker = manager.submit(*make_pair(2), config=config, use_cache=False)
+    session, in_search, release, armed = gate
+    armed.set()
+    with JobManager(workers=1, max_queue_depth=2, session=session) as manager:
+        blocker = manager.submit_request(make_request(2, use_cache=False))
         assert in_search.wait(10.0)
-        queued = manager.submit(*make_pair(3), config=config, use_cache=False)
+        queued = manager.submit_request(make_request(3, use_cache=False))
         assert manager.active() == 2
 
         with pytest.raises(AdmissionError) as excinfo:
-            manager.submit(*make_pair(5), config=config, use_cache=False)
+            manager.submit_request(make_request(5, use_cache=False))
         error = excinfo.value
         assert error.reason == "queue_full"
         assert error.retry_after_seconds >= 1
@@ -69,25 +69,24 @@ def test_saturated_queue_rejects_with_retry_after(gate):
         release.set()
         assert blocker.wait(30.0) and queued.wait(30.0)
         # Terminal jobs release their admission slots: submissions flow again.
-        job = manager.submit(*make_pair(7), use_cache=False)
+        job = manager.submit_request(make_request(7, use_cache=False))
         assert job.wait(30.0)
         assert manager.active() == 0
 
 
 def test_cache_hits_bypass_admission(gate):
-    config, in_search, release = gate
-    with JobManager(workers=1, max_queue_depth=1) as manager:
-        source, target = make_pair(11)
-        warm = manager.submit(source, target)
+    session, in_search, release, armed = gate
+    with JobManager(workers=1, max_queue_depth=1, session=session) as manager:
+        warm = manager.submit_request(make_request(11))
         assert warm.wait(30.0)
 
-        blocker = manager.submit(*make_pair(13), config=config,
-                                 use_cache=False)
+        armed.set()
+        blocker = manager.submit_request(make_request(13, use_cache=False))
         assert in_search.wait(10.0)
         with pytest.raises(AdmissionError):
-            manager.submit(*make_pair(17), use_cache=False)
+            manager.submit_request(make_request(17, use_cache=False))
         # The saturated queue still answers already-computed requests.
-        hit = manager.submit(source, target)
+        hit = manager.submit_request(make_request(11))
         assert hit.state is JobState.DONE
         assert hit.cache_hit is True
         release.set()
@@ -95,13 +94,14 @@ def test_cache_hits_bypass_admission(gate):
 
 
 def test_priority_orders_the_queue(gate):
-    config, in_search, release = gate
-    with JobManager(workers=1) as manager:
-        blocker = manager.submit(*make_pair(2), config=config, use_cache=False)
+    session, in_search, release, armed = gate
+    armed.set()
+    with JobManager(workers=1, session=session) as manager:
+        blocker = manager.submit_request(make_request(2, use_cache=False))
         assert in_search.wait(10.0)
-        low = manager.submit(*make_pair(3), priority=-5, use_cache=False)
-        medium = manager.submit(*make_pair(5), priority=0, use_cache=False)
-        high = manager.submit(*make_pair(7), priority=10, use_cache=False)
+        low = manager.submit_request(make_request(3, priority=-5, use_cache=False))
+        medium = manager.submit_request(make_request(5, priority=0, use_cache=False))
+        high = manager.submit_request(make_request(7, priority=10, use_cache=False))
         assert (low.priority, medium.priority, high.priority) == (-5, 0, 10)
 
         release.set()

@@ -148,14 +148,54 @@ def test_named_config_flows_into_request_provenance(pair_dir):
             assert job.outcome.provenance.base_config == "hs"
 
 
-def test_explicit_config_object_does_not_claim_a_base_name(pair_dir):
+def test_pinned_session_config_does_not_claim_a_base_name(pair_dir):
+    from repro.api import ExplainSession
     from repro.core import overlap_configuration
 
-    with JobManager(workers=2) as manager:
-        outcomes = run_batch(pair_dir, manager=manager,
-                             config=overlap_configuration(seed=3))
-        assert all(o.state == "done" for o in outcomes)
-        for job in manager.jobs():
+    session = ExplainSession(config=overlap_configuration(seed=3))
+    with JobManager(workers=2, session=session) as manager:
+        for _ in range(2):  # fresh runs, then store hits
+            outcomes = run_batch(pair_dir, manager=manager)
+            assert all(o.state == "done" for o in outcomes)
+        jobs = manager.jobs()
+        assert [job.cache_hit for job in jobs] == [False] * 3 + [True] * 3
+        for job in jobs:
             # The request's default name ("hid") did not determine the run.
             assert job.outcome.provenance.base_config is None
+        for job in jobs[:3]:
             assert job.result.config.start_strategy == "overlap"
+
+
+def test_process_fan_out_matches_the_thread_fan_out(pair_dir, tmp_path):
+    (pair_dir / "broken_source.csv").write_text("a,b\n1,2\n3\n", encoding="utf-8")
+    (pair_dir / "broken_target.csv").write_text("a,b\n1,2\n", encoding="utf-8")
+
+    def run(engine):
+        output_dir = tmp_path / f"out-{engine}"
+        outcomes = run_batch(pair_dir, workers=2, engine=engine,
+                             output_dir=output_dir)
+        summary = json.loads((output_dir / "batch_summary.json").read_text())
+        files = {
+            name: json.loads(
+                (output_dir / f"{name}.explanation.json").read_text())
+            for name in ("alpha", "beta", "gamma")
+        }
+        assert not (output_dir / "broken.explanation.json").exists()
+        return outcomes, summary, files
+
+    def comparable(entry):
+        # Search time and the failure text are per run; the rest must match.
+        return {key: value for key, value in entry.items()
+                if key not in ("runtime_seconds", "error")}
+
+    threads, thread_summary, thread_files = run(None)
+    processes, process_summary, process_files = run("parallel")
+    assert [o.name for o in processes] == ["alpha", "beta", "broken", "gamma"]
+    assert [o.state for o in processes] == ["done", "done", "failed", "done"]
+    assert processes[2].error
+    assert all(o.cache_hit is False for o in processes)
+    assert [o.cost for o in processes] == [o.cost for o in threads]
+    assert [comparable(e) for e in process_summary] == \
+        [comparable(e) for e in thread_summary]
+    assert {name: comparable(payload) for name, payload in process_files.items()} \
+        == {name: comparable(payload) for name, payload in thread_files.items()}

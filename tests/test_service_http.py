@@ -653,26 +653,33 @@ def test_result_not_ready_is_enveloped_409(base_url):
     wait_for_state(base_url, job_id, {"cancelled", "done"})
 
 
-def test_failed_job_result_is_enveloped_500(base_url, server):
+def test_failed_job_result_is_enveloped_500():
     # No wire payload can fail a job mid-run, so inject the failure through
-    # the server's own manager: a progress callback that explodes.
-    from repro.core import identity_configuration
-    from repro.dataio import read_csv_text
+    # the manager's session: a progress callback that explodes.
+    from repro.api import ExplainSession
+    from repro.service import JobManager
 
     def explode(progress) -> None:
         raise RuntimeError("instrumentation exploded")
 
-    config = identity_configuration().with_overrides(progress_callback=explode)
-    source = read_csv_text("id,val\n1,100\n2,200\n")
-    target = read_csv_text("id,val\n1,1\n2,2\n")
-    job = server.manager.submit(source, target, config=config, use_cache=False)
-    assert job.wait(30.0)
-    assert job.state.value == "failed"
-
-    status, payload = request(base_url, "GET", f"/v1/jobs/{job.id}/result")
-    assert status == 500
-    assert_envelope(payload, "job_failed")
-    assert payload["state"] == "failed"
+    manager = JobManager(workers=1, session=ExplainSession().with_progress(explode))
+    instance = create_server(manager=manager)
+    thread = threading.Thread(target=instance.serve_forever, daemon=True)
+    thread.start()
+    host, port = instance.server_address[:2]
+    base_url = f"http://{host}:{port}"
+    try:
+        status, view = request(base_url, "POST", "/v1/explain",
+                               explain_body(31, use_cache=False))
+        assert status == 202
+        wait_for_state(base_url, view["id"], {"failed"})
+        status, payload = request(base_url, "GET", f"/v1/jobs/{view['id']}/result")
+        assert status == 500
+        assert_envelope(payload, "job_failed")
+        assert payload["state"] == "failed"
+    finally:
+        instance.shutdown_service()
+        thread.join(timeout=10.0)
 
 
 # --------------------------------------------------------------------- #

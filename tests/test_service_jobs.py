@@ -6,9 +6,15 @@ import threading
 
 import pytest
 
+from repro.api import ExplainRequest, ExplainSession, RequestValidationError
 from repro.core import Affidavit, SearchProgress, identity_configuration
 from repro.dataio import read_csv_text
 from repro.service import JobManager, JobNotFound, JobState
+
+
+def submit(manager, source, target, **kwargs):
+    """Submit two in-memory tables as an inline request."""
+    return manager.submit_request(ExplainRequest.inline(source, target, **kwargs))
 
 
 @pytest.fixture
@@ -76,7 +82,7 @@ def test_observer_configs_compare_equal():
 def test_job_reaches_done_with_result(pair):
     source, target = pair
     with JobManager(workers=2) as manager:
-        job = manager.submit(source, target, name="lifecycle")
+        job = submit(manager, source, target, name="lifecycle")
         assert job.wait(30.0)
         assert job.state is JobState.DONE
         assert job.cache_hit is False
@@ -93,9 +99,9 @@ def test_job_reaches_done_with_result(pair):
 def test_repeated_submission_hits_cache(pair):
     source, target = pair
     with JobManager(workers=1) as manager:
-        first = manager.submit(source, target)
+        first = submit(manager, source, target)
         assert first.wait(30.0)
-        second = manager.submit(source, target)
+        second = submit(manager, source, target)
         assert second.state is JobState.DONE
         assert second.cache_hit is True
         assert second.store_hit is True
@@ -107,18 +113,16 @@ def test_repeated_submission_hits_cache(pair):
         assert manager.store.stats().hits == 1
 
 
-def test_published_result_carries_clean_config(pair):
-    """The manager's observer wrappers (which close over the job and its
-    tables) must not leak into the result handed back, and the store holds
-    JSON only."""
+def test_published_result_carries_the_resolved_config(pair):
+    """The result handed back ran with the request's resolved configuration,
+    and the store holds JSON only."""
     source, target = pair
-    config = identity_configuration()
     with JobManager(workers=1) as manager:
-        job = manager.submit(source, target, config=config)
+        job = submit(manager, source, target, config="hs")
         assert job.wait(30.0)
-        assert job.result.config == config
-        assert job.result.config.should_stop is None
-        assert job.result.config.progress_callback is None
+        assert job.result.config == ExplainSession().resolve_config(job.request)
+        assert job.result.config.start_strategy == "overlap"
+        assert job.outcome.provenance.base_config == "hs"
         stored = manager.store.get(job.key)
         assert stored["cost"] == job.outcome.cost
         assert stored["request"] is None and stored["trace"] is None
@@ -129,7 +133,7 @@ def test_terminal_jobs_are_pruned_beyond_retention_bound(pair):
     with JobManager(workers=1, max_retained_jobs=3) as manager:
         jobs = []
         for i in range(5):
-            job = manager.submit(source, target, name=f"j{i}", use_cache=False)
+            job = submit(manager, source, target, name=f"j{i}", use_cache=False)
             assert job.wait(30.0)
             jobs.append(job)
         retained = {j.id for j in manager.jobs()}
@@ -143,9 +147,9 @@ def test_terminal_jobs_are_pruned_beyond_retention_bound(pair):
 def test_cache_can_be_bypassed(pair):
     source, target = pair
     with JobManager(workers=1) as manager:
-        first = manager.submit(source, target)
+        first = submit(manager, source, target)
         assert first.wait(30.0)
-        second = manager.submit(source, target, use_cache=False)
+        second = submit(manager, source, target, use_cache=False)
         assert second.wait(30.0)
         assert second.cache_hit is False
 
@@ -154,9 +158,9 @@ def test_schema_mismatch_rejected_at_submit(pair):
     source, _ = pair
     other_schema = read_csv_text("a,b\n1,2\n")
     with JobManager(workers=1) as manager:
-        with pytest.raises(Exception):
+        with pytest.raises(RequestValidationError):
             # Schema mismatch is rejected at submission time, not in a worker.
-            manager.submit(source, other_schema)
+            submit(manager, source, other_schema)
 
 
 def test_failing_search_marks_job_failed(pair):
@@ -165,9 +169,9 @@ def test_failing_search_marks_job_failed(pair):
     def explode(_: SearchProgress) -> None:
         raise RuntimeError("observer exploded")
 
-    config = identity_configuration().with_overrides(progress_callback=explode)
-    with JobManager(workers=1) as manager:
-        job = manager.submit(source, target, config=config, use_cache=False)
+    session = ExplainSession().with_progress(explode)
+    with JobManager(workers=1, session=session) as manager:
+        job = submit(manager, source, target, use_cache=False)
         assert job.wait(30.0)
         assert job.state is JobState.FAILED
         assert "observer exploded" in job.error
@@ -186,7 +190,7 @@ def test_unknown_job_raises(pair):
 def test_counts_and_jobs_listing(pair):
     source, target = pair
     with JobManager(workers=1) as manager:
-        job = manager.submit(source, target)
+        job = submit(manager, source, target)
         assert job.wait(30.0)
         assert [j.id for j in manager.jobs()] == [job.id]
         counts = manager.counts()
@@ -199,7 +203,7 @@ def test_submit_after_shutdown_is_rejected(pair):
     manager = JobManager(workers=1)
     manager.shutdown()
     with pytest.raises(RuntimeError):
-        manager.submit(source, target)
+        submit(manager, source, target)
 
 
 # --------------------------------------------------------------------- #
@@ -216,9 +220,9 @@ def test_cancel_running_job_mid_search(pair):
         in_search.set()
         release.wait(30.0)
 
-    config = identity_configuration().with_overrides(progress_callback=gate)
-    with JobManager(workers=1) as manager:
-        job = manager.submit(source, target, config=config, use_cache=False)
+    session = ExplainSession().with_progress(gate)
+    with JobManager(workers=1, session=session) as manager:
+        job = submit(manager, source, target, use_cache=False)
         assert in_search.wait(30.0), "search never reached the first expansion"
         assert job.state is JobState.RUNNING
         assert manager.cancel(job.id) is True
@@ -239,12 +243,12 @@ def test_cancel_queued_job_never_runs(pair):
         in_search.set()
         release.wait(30.0)
 
-    config = identity_configuration().with_overrides(progress_callback=gate)
-    with JobManager(workers=1) as manager:
-        blocker = manager.submit(source, target, config=config, use_cache=False)
+    session = ExplainSession().with_progress(gate)
+    with JobManager(workers=1, session=session) as manager:
+        blocker = submit(manager, source, target, use_cache=False)
         assert in_search.wait(30.0)
         # The single worker is busy; this one stays queued.
-        queued = manager.submit(source, target, name="queued", use_cache=False)
+        queued = submit(manager, source, target, name="queued", use_cache=False)
         assert queued.state is JobState.QUEUED
         assert manager.cancel(queued.id) is True
         release.set()
@@ -258,7 +262,7 @@ def test_cancel_queued_job_never_runs(pair):
 def test_cancel_finished_job_returns_false(pair):
     source, target = pair
     with JobManager(workers=1) as manager:
-        job = manager.submit(source, target)
+        job = submit(manager, source, target)
         assert job.wait(30.0)
         assert manager.cancel(job.id) is False
         assert job.state is JobState.DONE
@@ -267,7 +271,7 @@ def test_cancel_finished_job_returns_false(pair):
 def test_throttle_slows_search(pair):
     source, target = pair
     with JobManager(workers=1) as manager:
-        job = manager.submit(source, target, throttle_seconds=0.01, use_cache=False)
+        job = submit(manager, source, target, throttle_seconds=0.01, use_cache=False)
         assert job.wait(30.0)
         assert job.state is JobState.DONE
         assert job.result.runtime_seconds >= 0.01 * job.result.expansions
@@ -289,7 +293,7 @@ def test_four_concurrent_jobs_complete_correctly():
         pairs.append((source, target))
     with JobManager(workers=4) as manager:
         jobs = [
-            manager.submit(source, target, name=f"div{d}")
+            submit(manager, source, target, name=f"div{d}")
             for d, (source, target) in zip(divisors, pairs)
         ]
         assert manager.wait_all(60.0)
@@ -303,6 +307,11 @@ def test_four_concurrent_jobs_complete_correctly():
 # --------------------------------------------------------------------- #
 # request-driven submissions (the repro.api path)
 # --------------------------------------------------------------------- #
+def rooted(data_root):
+    """A session confining request paths to *data_root*."""
+    return ExplainSession().with_data_root(data_root)
+
+
 class TestSubmitRequest:
     @pytest.fixture
     def request_files(self, tmp_path, pair):
@@ -318,8 +327,8 @@ class TestSubmitRequest:
 
         request = ExplainRequest(source_path="s.csv", target_path="t.csv",
                                  name="by-path")
-        with JobManager(workers=1) as manager:
-            job = manager.submit_request(request, data_root=request_files)
+        with JobManager(workers=1, session=rooted(request_files)) as manager:
+            job = manager.submit_request(request)
             assert job.wait(60.0)
             assert job.state is JobState.DONE, job.error
             assert job.request is request
@@ -328,9 +337,6 @@ class TestSubmitRequest:
             assert outcome.idempotency_key == job.key
             assert outcome.request is request
             assert outcome.explanation == job.result.explanation
-            # The published result must not pin the job's observer closures.
-            assert job.result.config.should_stop is None
-            assert job.result.config.progress_callback is None
 
     def test_key_is_the_content_key(self, request_files, pair):
         from repro.api import ExplainRequest, resolve_config
@@ -339,14 +345,13 @@ class TestSubmitRequest:
 
         source, target = pair
         request = ExplainRequest(source_path="s.csv", target_path="t.csv")
-        with JobManager(workers=1) as manager:
-            job = manager.submit_request(request, data_root=request_files)
+        with JobManager(workers=1, session=rooted(request_files)) as manager:
+            job = manager.submit_request(request)
             assert job.key == idempotency_key(
                 source, target, resolve_config(request),
                 tuple(default_registry().names))
-            # The table-level entry point keys the same content the same way.
-            repeat = manager.submit(source.copy(), target.copy(),
-                                    config=resolve_config(request))
+            # Inline tables key the same content the same way.
+            repeat = submit(manager, source.copy(), target.copy())
             assert repeat.key == job.key
 
     def test_repeat_request_is_a_cache_hit(self, request_files):
@@ -355,23 +360,18 @@ class TestSubmitRequest:
         def make_request(**kwargs):
             return ExplainRequest(source_path="s.csv", target_path="t.csv", **kwargs)
 
-        with JobManager(workers=1) as manager:
-            first = manager.submit_request(make_request(), data_root=request_files)
+        with JobManager(workers=1, session=rooted(request_files)) as manager:
+            first = manager.submit_request(make_request())
             assert first.wait(60.0)
             # Same canonical content, different execution hints: still a hit.
-            second = manager.submit_request(
-                make_request(name="renamed", use_cache=True),
-                data_root=request_files,
-            )
+            second = manager.submit_request(make_request(name="renamed", use_cache=True))
             assert second.state is JobState.DONE
             assert second.cache_hit is True
             assert second.key == first.key
             assert second.outcome is not None
             assert second.outcome.explanation == first.outcome.explanation
             # A different engine is different canonical content: a miss.
-            third = manager.submit_request(
-                make_request(engine="rowwise"), data_root=request_files
-            )
+            third = manager.submit_request(make_request(engine="rowwise"))
             assert third.key != first.key
             assert third.wait(60.0) and third.cache_hit is False
 
@@ -380,8 +380,8 @@ class TestSubmitRequest:
 
         request = ExplainRequest(source_path="s.csv", target_path="t.csv",
                                  functions=("identity", "division"))
-        with JobManager(workers=1) as manager:
-            job = manager.submit_request(request, data_root=request_files)
+        with JobManager(workers=1, session=rooted(request_files)) as manager:
+            job = manager.submit_request(request)
             assert job.wait(60.0)
             assert job.state is JobState.DONE, job.error
             assert job.outcome.provenance.registry == ("identity", "division")
@@ -390,18 +390,14 @@ class TestSubmitRequest:
     def test_invalid_requests_are_rejected_before_queueing(self, request_files):
         from repro.api import ExplainRequest, RequestValidationError
 
-        with JobManager(workers=1) as manager:
+        with JobManager(workers=1, session=rooted(request_files)) as manager:
             with pytest.raises(RequestValidationError):
                 manager.submit_request(
-                    ExplainRequest(source_path="nope.csv", target_path="t.csv"),
-                    data_root=request_files,
-                )
+                    ExplainRequest(source_path="nope.csv", target_path="t.csv"))
             with pytest.raises(RequestValidationError):
                 manager.submit_request(
                     ExplainRequest(source_path="s.csv", target_path="t.csv",
-                                   functions=("warp",)),
-                    data_root=request_files,
-                )
+                                   functions=("warp",)))
             assert manager.jobs() == []
 
     def test_key_ignores_snapshot_transport(self, request_files, pair):
@@ -413,11 +409,11 @@ class TestSubmitRequest:
         by_dotted_path = ExplainRequest(source_path="./s.csv", target_path="./t.csv")
         inline = ExplainRequest(source_csv=to_csv_text(source),
                                 target_csv=to_csv_text(target))
-        with JobManager(workers=1) as manager:
-            first = manager.submit_request(by_path, data_root=request_files)
+        with JobManager(workers=1, session=rooted(request_files)) as manager:
+            first = manager.submit_request(by_path)
             assert first.wait(60.0)
             # Same parsed content through a different transport: a cache hit.
-            second = manager.submit_request(by_dotted_path, data_root=request_files)
+            second = manager.submit_request(by_dotted_path)
             third = manager.submit_request(inline)
             assert second.cache_hit is True and second.key == first.key
             assert third.cache_hit is True and third.key == first.key
@@ -426,8 +422,8 @@ class TestSubmitRequest:
         from repro.api import ExplainRequest
 
         request = ExplainRequest(source_path="s.csv", target_path="t.csv")
-        with JobManager(workers=1) as manager:
-            job = manager.submit_request(request, data_root=request_files)
+        with JobManager(workers=1, session=rooted(request_files)) as manager:
+            job = manager.submit_request(request)
             assert job.wait(60.0)
             timings = job.outcome.timings
             assert timings.load_seconds > 0.0
@@ -435,7 +431,7 @@ class TestSubmitRequest:
                 timings.load_seconds + timings.search_seconds
             )
             # The cache-hit job reports its own (fresh) load time too.
-            repeat = manager.submit_request(request, data_root=request_files)
+            repeat = manager.submit_request(request)
             assert repeat.cache_hit is True
             assert repeat.outcome.timings.load_seconds > 0.0
 
@@ -491,9 +487,9 @@ def test_deadline_cut_budget_answer_is_done_and_trivial():
 
 def test_caller_should_stop_still_cancels_the_job(pair):
     source, target = pair
-    config = identity_configuration().with_overrides(should_stop=lambda: True)
-    with JobManager(workers=1) as manager:
-        job = manager.submit(source, target, config=config)
+    session = ExplainSession().with_cancellation(lambda: True)
+    with JobManager(workers=1, session=session) as manager:
+        job = submit(manager, source, target)
         assert job.wait(30.0)
         assert job.state is JobState.CANCELLED
         assert manager.store.stats().size == 0

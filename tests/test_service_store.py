@@ -15,6 +15,7 @@ import urllib.request
 
 import pytest
 
+from repro.api import ExplainRequest
 from repro.dataio import read_csv_text
 from repro.service import (
     JobManager,
@@ -36,6 +37,11 @@ def pair():
         "id,name,val\n1,ALPHA,1\n2,BETA,2\n3,GAMMA,3\n4,DELTA,4\n"
     )
     return source, target
+
+
+def submit(manager, pair, name):
+    """Submit the snapshot pair as an inline request."""
+    return manager.submit_request(ExplainRequest.inline(*pair, name=name))
 
 
 # --------------------------------------------------------------------- #
@@ -108,13 +114,25 @@ class TestMemoryBackend:
 
 
 class TestOpenStore:
-    def test_disabled_specs(self):
+    def test_default_store_specs(self):
+        # None, "none" and "memory" all leave the manager its default
+        # in-process store, sized by cache_entries / cache_ttl.
         assert open_store(None) is None
         assert open_store("") is None
         assert open_store("  none ") is None
+        assert open_store("memory") is None
 
-    def test_memory_spec(self):
-        assert isinstance(open_store("memory"), MemoryResultStore)
+    def test_memory_spec_is_sized_by_cache_entries(self):
+        server = create_server(store="memory", cache_entries=3)
+        try:
+            store = server.manager.store
+            assert isinstance(store, MemoryResultStore)
+            for index in range(4):
+                store.put(f"k{index}", {"v": index})
+            assert store.stats().size == 3
+        finally:
+            server.server_close()
+            server.manager.shutdown()
 
     def test_sqlite_specs(self, tmp_path):
         for spec in (f"sqlite:{tmp_path}/a.db",
@@ -133,17 +151,16 @@ class TestOpenStore:
 # manager-level dedup
 # --------------------------------------------------------------------- #
 def test_second_replica_answers_from_store(tmp_path, pair):
-    source, target = pair
     store = SqliteResultStore(tmp_path / "shared.db")
     with JobManager(workers=2, store=store) as first:
-        computed = first.submit(source.copy(), target.copy(), name="shared")
+        computed = submit(first, pair, "shared")
         assert computed.wait(30.0)
         assert computed.state is JobState.DONE
         assert computed.store_hit is False
     assert store.stats().puts == 1
 
     with JobManager(workers=2, store=store) as second:
-        job = second.submit(source.copy(), target.copy(), name="shared")
+        job = submit(second, pair, "shared")
         # A store hit resolves synchronously at submission time.
         assert job.state is JobState.DONE
         assert job.store_hit is True
@@ -159,30 +176,28 @@ def test_second_replica_answers_from_store(tmp_path, pair):
 
 
 def test_restarted_replica_recovers_results(tmp_path, pair):
-    source, target = pair
     path = tmp_path / "shared.db"
     with SqliteResultStore(path) as store:
         with JobManager(workers=2, store=store) as manager:
-            job = manager.submit(source.copy(), target.copy(), name="restart")
+            job = submit(manager, pair, "restart")
             assert job.wait(30.0)
     # Process "restart": a brand-new store handle and manager.
     with SqliteResultStore(path) as store:
         with JobManager(workers=2, store=store) as manager:
-            job = manager.submit(source.copy(), target.copy(), name="restart")
+            job = submit(manager, pair, "restart")
             assert job.state is JobState.DONE
             assert job.store_hit is True
 
 
 def test_corrupt_store_entry_degrades_to_recompute(tmp_path, pair):
-    source, target = pair
     store = SqliteResultStore(tmp_path / "shared.db")
     with JobManager(workers=2, store=store) as manager:
-        job = manager.submit(source.copy(), target.copy(), name="corrupt")
+        job = submit(manager, pair, "corrupt")
         assert job.wait(30.0)
         key = job.key
     store.put(key, {"schema_version": "affidavit.outcome/v1", "cost": "junk"})
     with JobManager(workers=2, store=store) as manager:
-        job = manager.submit(source.copy(), target.copy(), name="corrupt")
+        job = submit(manager, pair, "corrupt")
         assert job.wait(30.0)
         assert job.state is JobState.DONE
         assert job.store_hit is False  # the bad entry was treated as a miss
