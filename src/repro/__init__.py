@@ -54,17 +54,7 @@ Supporting layers
 * :mod:`repro.baselines`, :mod:`repro.complexity`, :mod:`repro.evaluation`,
   :mod:`repro.export` — comparators, the 3-SAT reduction, the experiment
   harness and report/SQL/JSON exporters.
-
-Deprecated
-----------
-* :func:`repro.explain_snapshots` still works but emits a
-  :class:`DeprecationWarning`; use
-  ``Session().explain_tables(source, target)`` (or build an
-  :class:`~repro.api.ExplainRequest`) instead.
 """
-
-import warnings as _warnings
-from typing import Optional as _Optional
 
 from .dataio import Schema, Table, read_csv, read_snapshot_pair, write_csv
 from .functions import FunctionRegistry, default_registry
@@ -100,28 +90,6 @@ from .api import (
 
 __version__ = "1.1.0"
 
-
-def explain_snapshots(source: Table, target: Table, *,
-                      config: _Optional[AffidavitConfig] = None,
-                      registry: _Optional[FunctionRegistry] = None,
-                      name: str = "instance") -> AffidavitResult:
-    """Deprecated one-call API; use :class:`repro.api.ExplainSession`.
-
-    Equivalent to ``ExplainSession(config=config, registry=registry)
-    .explain_tables(source, target, name=name).result``.  Kept as a thin
-    shim for existing callers; both snapshots are frozen in place exactly
-    as before.
-    """
-    _warnings.warn(
-        "repro.explain_snapshots is deprecated; use "
-        "repro.api.ExplainSession (e.g. Session().explain_tables(source, target))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    session = ExplainSession(config=config, registry=registry)
-    return session.explain_tables(source, target, name=name).result
-
-
 __all__ = [
     "Schema",
     "Table",
@@ -135,7 +103,6 @@ __all__ = [
     "AffidavitResult",
     "Explanation",
     "ProblemInstance",
-    "explain_snapshots",
     "explanation_cost",
     "explanation_from_functions",
     "identity_configuration",

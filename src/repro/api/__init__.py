@@ -92,7 +92,7 @@ from .store import (
     idempotency_key,
     open_store,
 )
-from .strategies import ChainRun, StrategyChain
+from .strategies import StrategyChain
 
 __all__ = [
     "RequestValidationError",
@@ -139,7 +139,6 @@ __all__ = [
     "CONFIDENCE_LABELS",
     "DEFAULT_STRATEGY",
     "StrategyChain",
-    "ChainRun",
     "ResultStore",
     "MemoryResultStore",
     "SqliteResultStore",

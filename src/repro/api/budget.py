@@ -175,9 +175,9 @@ TIER_STATUSES = (STATUS_ANSWERED, STATUS_SKIPPED, STATUS_TIMEOUT, STATUS_FAILED)
 class TierResult:
     """One tier's verdict during a chain walk.
 
-    The chain returns the full attempt list alongside the winning outcome,
-    so callers can see which tier answered and why the others were skipped
-    or timed out.  ``outcome`` (the tier's candidate, when it produced one)
+    The chain's winning outcome carries the full attempt list
+    (``outcome.tiers``), so callers can see which tier answered and why the
+    others were skipped or timed out.  ``outcome`` (the tier's candidate, when it produced one)
     is process-local and excluded from comparison and serialization.
     """
 
@@ -234,9 +234,10 @@ class TierResult:
 class Deadline:
     """A monotonic wall-clock deadline with a cooperative stop predicate.
 
-    The predicate plugs straight into :attr:`AffidavitConfig.should_stop`
-    (polled once per expansion), which is how budget enforcement rides the
-    existing cancellation machinery instead of needing engine changes.
+    The predicate is handed to the search as its ``should_stop`` run
+    argument (through :meth:`ExplainSession.with_cancellation`), which is
+    how budget enforcement rides the existing cancellation machinery
+    instead of needing engine changes.
     """
 
     def __init__(self, seconds: Optional[float], *,

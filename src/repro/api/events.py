@@ -1,14 +1,15 @@
 """Typed streaming events of :meth:`~repro.api.ExplainSession.explain_iter`.
 
-The core search reports liveness through the
-:attr:`~repro.core.AffidavitConfig.progress_callback` hook; the session turns
-that callback stream into a typed iterator so interactive callers (TUIs,
-server-sent events, notebooks) can consume progress without wiring callbacks
-themselves:
+The core search reports liveness through its ``progress`` run argument
+(:class:`~repro.core.Affidavit`); the session turns that callback stream
+into a typed iterator so interactive callers (TUIs, server-sent events,
+notebooks) can consume progress without wiring callbacks themselves:
 
     started  ->  progressed*  ->  completed
 
-Every event carries ``kind`` for payload-style dispatch.
+Every event carries ``kind`` for payload-style dispatch.  The service's
+``started`` and ``progressed`` frames are these same events' ``to_dict()``
+under the frame envelope.
 
 The module also defines the **wire framing** of these events for the service's
 ``GET /v1/jobs/<id>/events`` stream: versioned ``affidavit.event/v1`` frames
@@ -22,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional
 
-from ..core import SearchProgress
+from ..core import SearchProgress, engine_name
 from .errors import RequestValidationError, UnsupportedSchemaVersion
 from .outcome import ExplainOutcome
+from .request import PreparedRun
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,18 @@ class SearchStarted(SearchEvent):
     engine: str
 
     kind = "started"
+
+    @classmethod
+    def of(cls, run: PreparedRun) -> "SearchStarted":
+        """The start event of *run*."""
+        instance = run.instance
+        return cls(
+            name=instance.name,
+            n_source_records=instance.n_source_records,
+            n_target_records=instance.n_target_records,
+            n_attributes=instance.n_attributes,
+            engine=engine_name(run.config),
+        )
 
     def to_dict(self) -> Dict[str, Any]:
         return {

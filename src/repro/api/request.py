@@ -71,13 +71,12 @@ LEGACY_OVERRIDE_FIELDS = (
     "column_cache_entries", "blocking_cache_size",
 )
 
-#: Configuration fields clients may override per request.  Callbacks are
-#: deliberately absent — they are owned by the session / job layer.
+#: Configuration fields clients may override per request: every field of
+#: the plain-data :class:`AffidavitConfig` (run observers are session
+#: arguments, not configuration), plus the retired ones still parsed.
 CONFIG_OVERRIDE_FIELDS = (
-    "alpha", "beta", "queue_width", "theta", "confidence", "start_strategy",
-    "max_block_size", "min_generation_successes", "max_expansions", "seed",
-    "columnar_cache",
-) + LEGACY_OVERRIDE_FIELDS
+    tuple(field.name for field in fields(AffidavitConfig)) + LEGACY_OVERRIDE_FIELDS
+)
 
 #: Named base configurations selectable by request (the paper's two setups).
 BASE_CONFIGS = {
@@ -136,6 +135,9 @@ class ExplainRequest:
     #: when a budget is set, and the plain full search otherwise.
     strategy: Optional[Tuple[str, ...]] = None
     name: str = "instance"
+    #: Seconds to sleep after every search expansion (demos, cancellation
+    #: tests).  The session adds the sleep to every run of the request,
+    #: whichever front door it came through.
     throttle_seconds: float = 0.0
     use_cache: bool = True
     #: Scheduling hint for the service's job queue: higher-priority requests

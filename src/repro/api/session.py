@@ -33,7 +33,6 @@ from ..core import (
     AffidavitConfig,
     ProblemInstance,
     SearchProgress,
-    engine_name,
 )
 from ..dataio import Table, TableError
 from ..dataio.buffers import (
@@ -122,7 +121,8 @@ class ExplainSession:
         Session-level meta-function pool; requests may subset it by name.
         Defaults to :func:`repro.functions.default_registry`.
     progress_callback / should_stop:
-        Observers chained *after* whatever the configuration already carries.
+        The run observers every search of this session gets (see
+        :meth:`with_progress` / :meth:`with_cancellation`).
     data_root:
         Directory that request snapshot paths are confined to (``None``
         resolves paths as given).
@@ -413,7 +413,6 @@ class ExplainSession:
         carrying the outcome.  Closing the iterator early cancels the search
         cooperatively (within one expansion)."""
         prepared = self.prepare(request)
-        instance = prepared.instance
 
         events: "queue.Queue[object]" = queue.Queue()
         abandoned = threading.Event()
@@ -435,13 +434,7 @@ class ExplainSession:
             target=run, name="affidavit-explain-iter", daemon=True
         )
         try:
-            yield SearchStarted(
-                name=instance.name,
-                n_source_records=instance.n_source_records,
-                n_target_records=instance.n_target_records,
-                n_attributes=instance.n_attributes,
-                engine=engine_name(prepared.config),
-            )
+            yield SearchStarted.of(prepared)
             worker.start()
             while True:
                 event = events.get()
@@ -472,22 +465,25 @@ class ExplainSession:
         if budget is None and strategy is None:
             return self._execute(prepared)
         chain = StrategyChain(self, budget=budget, strategy=strategy)
-        return chain.run(prepared).outcome
+        return chain.run(prepared)
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
     def _execute(self, prepared: PreparedRun, *, tier: str = TIER_FULL,
                  confidence: Optional[str] = None) -> ExplainOutcome:
-        """One search of *prepared* with the session's observers chained
-        after the configuration's own."""
-        config = prepared.config
-        config = config.with_overrides(
-            progress_callback=_chain_progress(
-                config.progress_callback, self._progress_callback
-            ),
-            should_stop=_chain_stop(config.should_stop, self._should_stop),
-        )
+        """One search of *prepared*.
+
+        The one place a run's observers are put together: the session's
+        progress and cancellation chain (which carries the job manager's
+        callbacks and the strategy chain's deadline), then a sleep per
+        expansion when the request asks for ``throttle_seconds``.
+        """
+        progress = self._progress_callback
+        request = prepared.request
+        if request is not None and request.throttle_seconds > 0:
+            seconds = request.throttle_seconds
+            progress = _chain_progress(progress, lambda _: time.sleep(seconds))
         load_seconds = prepared.load_seconds
         tracer = ensure_tracer(self._tracer)
         with tracer.span("explain") as root:
@@ -499,7 +495,10 @@ class ExplainSession:
                     start=max(0.0, tracer.now() - load_seconds),
                     duration=load_seconds,
                 ))
-            result = Affidavit(config, tracer=tracer).explain(prepared.instance)
+            result = Affidavit(
+                prepared.config, tracer=tracer,
+                progress=progress, should_stop=self._should_stop,
+            ).explain(prepared.instance)
         trace = root.snapshot() if tracer is not NULL_TRACER else None
         _EXPLAINS_TOTAL.inc(engine=result.engine)
         if result.cancelled:

@@ -6,9 +6,9 @@ enough for every result cache in the system:
 
 * :func:`idempotency_key` digests the *parsed* tables (schema and columns,
   one JSON document each — so the same data hits the same entry whether it
-  arrived inline or by path, and however the path was spelled), the
-  comparable fields of the resolved :class:`~repro.core.AffidavitConfig`
-  (observer callbacks are excluded) and the names of the function pool.
+  arrived inline or by path, and however the path was spelled), every
+  field of the resolved :class:`~repro.core.AffidavitConfig` (plain data:
+  run observers are not part of it) and the names of the function pool.
   Budget, strategy and execution hints never enter it.
 * A :class:`ResultStore` holds serialized outcomes
   (``ExplainOutcome.to_dict()`` payloads) under that key.  Only *exact*
@@ -92,8 +92,7 @@ def idempotency_key(source: Table, target: Table, config: AffidavitConfig,
         _KEY_VERSION,
         _table_document(source),
         _table_document(target),
-        [[spec.name, getattr(config, spec.name)]
-         for spec in fields(config) if spec.compare],
+        [[spec.name, getattr(config, spec.name)] for spec in fields(config)],
         None if registry_names is None else list(registry_names),
     ]
     text = json.dumps(document, separators=(",", ":"), default=repr)

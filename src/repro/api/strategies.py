@@ -7,8 +7,8 @@ Each tier produces a typed :class:`~repro.api.budget.TierResult`; the chain
 records which tier answered and why the others were skipped or timed out,
 and attaches the attempt log to the winning outcome (``outcome.tiers``).
 
-Budget enforcement rides the engine's existing cooperative ``should_stop``
-hook: the deadline becomes a monotonic-clock predicate polled once per
+Budget enforcement rides the engine's cooperative ``should_stop`` run
+argument: the deadline becomes a monotonic-clock predicate polled once per
 expansion, so a budget-exceeded full search degrades gracefully to its
 best-so-far state (never worse than the trivial explanation) instead of
 failing — and the cheaper tiers before it have usually banked an answer
@@ -30,7 +30,7 @@ parsing; a strategy that names it logs the tier as skipped and walks on.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from ..obs import get_registry
@@ -109,22 +109,6 @@ def _baseline_answer(explainer, prepared: PreparedRun) -> ExplainOutcome:
         outcome.provenance, base_config=prepared.base_config))
 
 
-@dataclass(frozen=True)
-class ChainRun:
-    """A finished chain walk: the winning outcome plus every attempt."""
-
-    outcome: ExplainOutcome
-    attempts: Tuple[TierResult, ...]
-
-    @property
-    def answered_by(self) -> str:
-        return self.outcome.provenance.tier
-
-    @property
-    def confidence(self) -> str:
-        return self.outcome.provenance.confidence
-
-
 class StrategyChain:
     """Walk a tier list under a latency budget and return the best answer.
 
@@ -157,8 +141,10 @@ class StrategyChain:
     # ------------------------------------------------------------------ #
     # the walk
     # ------------------------------------------------------------------ #
-    def run(self, prepared: PreparedRun) -> ChainRun:
-        """Walk the tiers for *prepared* and return the winning outcome.
+    def run(self, prepared: PreparedRun) -> ExplainOutcome:
+        """Walk the tiers for *prepared* and return the winning outcome,
+        its ``tiers`` holding every attempt and its provenance the answering
+        tier and confidence.
 
         Never raises on tier failure and never returns without an answer:
         if every configured tier comes up empty, the trivial explanation is
@@ -251,7 +237,7 @@ class StrategyChain:
         _TIER_ANSWERS.inc(
             tier=best.provenance.tier, confidence=best.provenance.confidence
         )
-        return ChainRun(outcome=best, attempts=tuple(attempts))
+        return best
 
     # ------------------------------------------------------------------ #
     # tiers

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional, Set
+from typing import Callable, Dict, Optional, Set
 
 from ..dataio import Table
 from ..functions import FunctionRegistry
@@ -30,8 +30,9 @@ from .search_state import MAP_MARKER, SearchState
 
 @dataclass(frozen=True)
 class SearchProgress:
-    """Snapshot handed to :attr:`AffidavitConfig.progress_callback` once per
-    expansion — enough for a job monitor to display liveness and quality."""
+    """Snapshot handed to the run's ``progress`` observer (see
+    :class:`Affidavit`) once per expansion — enough for a job monitor to
+    display liveness and quality."""
 
     expansions: int
     generated_states: int
@@ -64,7 +65,7 @@ class AffidavitResult:
     generated_states: int
     runtime_seconds: float
     config: AffidavitConfig
-    #: True when :attr:`AffidavitConfig.should_stop` ended the search early;
+    #: True when the run's ``should_stop`` predicate ended the search early;
     #: the explanation is then the finalised best partial state, still valid
     #: but not necessarily what an uninterrupted run would have returned.
     cancelled: bool = False
@@ -114,6 +115,23 @@ class AffidavitResult:
 class Affidavit:
     """Facade of the search algorithm.
 
+    The configuration holds the search parameters only; a run's observers
+    are keyword arguments:
+
+    ``tracer``
+        Span sink for per-phase timings; defaults to the no-op tracer so the
+        hot path pays nothing unless somebody is listening.
+    ``progress``
+        Called once per state expansion with a :class:`SearchProgress`.
+    ``should_stop``
+        Polled at the top of every expansion, before each attribute, before
+        ranking and every 32 induction examples; returning ``True`` stops
+        the search, which then finalises the best partial state seen so far
+        and flags the result as cancelled.
+
+    None of them influences the search trajectory: results stay
+    bit-identical with or without observers, until ``should_stop`` fires.
+
     Examples
     --------
     >>> from repro import Affidavit, ProblemInstance
@@ -124,13 +142,13 @@ class Affidavit:
     """
 
     def __init__(self, config: Optional[AffidavitConfig] = None, *,
-                 tracer: Optional[Tracer] = None):
+                 tracer: Optional[Tracer] = None,
+                 progress: Optional[Callable[[SearchProgress], None]] = None,
+                 should_stop: Optional[Callable[[], bool]] = None):
         self._config = config if config is not None else identity_configuration()
-        #: Span sink for per-phase timings; defaults to the no-op tracer so
-        #: the hot path pays nothing unless somebody is listening.  Tracing
-        #: never influences the search trajectory — results stay bit-identical
-        #: with tracing on or off.
         self._tracer = ensure_tracer(tracer)
+        self._progress = progress
+        self._should_stop = should_stop
 
     @property
     def config(self) -> AffidavitConfig:
@@ -149,7 +167,8 @@ class Affidavit:
         )
         rng = random.Random(config.seed)
         expander = StateExpander(instance, config, evaluator, rng,
-                                 tracer=self._tracer)
+                                 tracer=self._tracer,
+                                 should_stop=self._should_stop)
         with self._tracer.span("search") as span:
             result = self._search(instance, config, evaluator, expander, started)
             span.add("expansions", result.expansions)
@@ -179,9 +198,11 @@ class Affidavit:
         best_entry = None
         best_seen_partial = None
         cancelled = False
+        progress = self._progress
+        should_stop = self._should_stop
 
         while queue:
-            if config.should_stop is not None and config.should_stop():
+            if should_stop is not None and should_stop():
                 cancelled = True
                 break
             entry = queue.poll()
@@ -203,9 +224,9 @@ class Affidavit:
                     continue
                 if queue.push(extension.state, extension.cost):
                     generated += 1
-            if config.progress_callback is not None:
+            if progress is not None:
                 cache_stats = evaluator.cache_stats()
-                config.progress_callback(SearchProgress(
+                progress(SearchProgress(
                     expansions=expansions,
                     generated_states=generated,
                     queue_size=len(queue),

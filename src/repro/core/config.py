@@ -26,11 +26,8 @@ The two configurations evaluated in the paper (Section 5.2) are available as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Callable, Optional
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .affidavit import SearchProgress
+from dataclasses import dataclass, replace
+from typing import Optional
 
 START_EMPTY = "empty"
 START_IDENTITY = "identity"
@@ -48,7 +45,11 @@ _POSITIVE_INT_FIELDS = (
 
 @dataclass(frozen=True)
 class AffidavitConfig:
-    """All tunable parameters of the search (immutable)."""
+    """All tunable parameters of the search (immutable, plain data).
+
+    Run observers — progress reporting and cooperative cancellation — are
+    arguments of the run (:class:`~repro.core.Affidavit`), not fields here.
+    """
 
     alpha: float = 0.5
     beta: int = 2
@@ -70,19 +71,6 @@ class AffidavitConfig:
     #: fallback engine — identical results, no memoization — used as the
     #: benchmark baseline and by the equivalence tests.
     columnar_cache: bool = True
-    #: Called once per state expansion with a
-    #: :class:`~repro.core.affidavit.SearchProgress` snapshot.  Excluded from
-    #: equality/hashing so configs that differ only in observers compare equal
-    #: (the service's idempotency cache relies on this).
-    progress_callback: Optional[Callable[["SearchProgress"], None]] = field(
-        default=None, compare=False, repr=False
-    )
-    #: Polled once per state expansion; returning ``True`` stops the search,
-    #: which then finalises the best partial state seen so far and flags the
-    #: result as cancelled.  Enables cooperative cancellation of long runs.
-    should_stop: Optional[Callable[[], bool]] = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self) -> None:
         self.validate()

@@ -250,9 +250,13 @@ class StateExpander:
 
     def __init__(self, instance: ProblemInstance, config: AffidavitConfig,
                  evaluator: StateEvaluator, rng: Optional[random.Random] = None,
-                 *, tracer: Optional[Tracer] = None):
+                 *, tracer: Optional[Tracer] = None,
+                 should_stop: Optional[Callable[[], bool]] = None):
         self._instance = instance
         self._config = config
+        # The run's cooperative stop predicate, polled per attribute, before
+        # ranking and every 32 induction examples; ``None`` never stops.
+        self._should_stop = should_stop
         self._evaluator = evaluator
         self._rng = rng if rng is not None else random.Random(config.seed)
         # Per-phase span sink; the no-op default keeps the hot path free.
@@ -308,7 +312,7 @@ class StateExpander:
         cursor = 0
         batch = ordered[: self._config.beta]
         cursor = len(batch)
-        should_stop = self._config.should_stop
+        should_stop = self._should_stop
         while not extensions and batch:
             for attribute in batch:
                 if should_stop is not None and should_stop():
@@ -430,7 +434,7 @@ class StateExpander:
             span.add("candidates", len(candidates))
         if not candidates:
             return []
-        should_stop = self._config.should_stop
+        should_stop = self._should_stop
         if should_stop is not None and should_stop():
             # Ranking transforms whole columns per candidate; once the
             # deadline has passed, skip it and report no viable candidates
@@ -477,7 +481,7 @@ class StateExpander:
         counts through :func:`induce_generation_counts`, the row-wise engine
         through a plain :class:`CandidatePool`.
         """
-        should_stop = self._config.should_stop
+        should_stop = self._should_stop
 
         def examples() -> Iterable[Tuple[int, int]]:
             for position, (block_index, offset) in enumerate(sampled):

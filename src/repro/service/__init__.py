@@ -13,7 +13,7 @@ This package provides that serving layer with stdlib means only:
   by path — return instantly, an in-process :class:`MemoryResultStore` by
   default or a shared :class:`SqliteResultStore` that lets N replicas
   deduplicate work and restarted replicas keep their results,
-* :mod:`.schemas` — typed request/response payloads with JSON round-trips,
+* :mod:`.schemas` — the request type and the job and result response bodies,
 * :mod:`.server` — the HTTP API (``/healthz``, ``/v1/explain``,
   ``/v1/jobs/...`` including the ``/events`` stream) on
   :class:`http.server.ThreadingHTTPServer`, answering every failure with a
@@ -38,12 +38,7 @@ from .jobs import (
     JobNotFound,
     JobState,
 )
-from .schemas import (
-    ExplainRequest,
-    JobView,
-    ResultView,
-    ValidationError,
-)
+from .schemas import ExplainRequest, job_view, result_view
 from .server import (
     CLIENT_ID_HEADER,
     ERROR_SCHEMA_VERSION,
@@ -64,9 +59,8 @@ __all__ = [
     "JobNotFound",
     "JobState",
     "ExplainRequest",
-    "JobView",
-    "ResultView",
-    "ValidationError",
+    "job_view",
+    "result_view",
     "AffidavitHTTPServer",
     "ClientQuotas",
     "CLIENT_ID_HEADER",

@@ -27,15 +27,18 @@ with four service-specific twists:
   layer maps to ``429`` + ``Retry-After``.  Within the bound, jobs are
   dequeued highest ``priority`` first (ties in submission order).
 * **Cooperative cancellation.**  ``DELETE``-ing a running job sets an event
-  that the core search polls once per expansion via the
-  :attr:`~repro.core.AffidavitConfig.should_stop` hook, so even a search deep
+  that the job's session hands the search as its ``should_stop`` run
+  argument; the search polls it once per expansion, so even a search deep
   in a large instance stops within one expansion.  Queued jobs cancel
   immediately without ever occupying a worker.
 
 Every job also owns a :class:`JobEventBuffer` — a bounded, sequence-numbered
 buffer of ``affidavit.event/v1`` frames (started / progressed / terminal)
 that the worker's progress callback fills and ``GET /v1/jobs/<id>/events``
-streams.  ``progressed`` frames are rate-limited: the first expansion gets
+streams.  The ``started`` and ``progressed`` frames are the library's own
+:class:`~repro.api.SearchStarted` / :class:`~repro.api.SearchProgressed`
+events, exactly as :meth:`~repro.api.ExplainSession.explain_iter` yields
+them.  ``progressed`` frames are rate-limited: the first expansion gets
 one, later ones at most one per :data:`PROGRESS_FRAME_INTERVAL_S`.
 
 The workers are plain threads draining a :class:`queue.PriorityQueue`; the
@@ -67,11 +70,14 @@ from ..api import (
     MemoryResultStore,
     PreparedRun,
     ResultStore,
+    SearchEvent,
+    SearchProgressed,
+    SearchStarted,
     TERMINAL_FRAME_KINDS,
     idempotency_key,
     make_frame,
 )
-from ..core import AffidavitResult, SearchProgress, engine_name
+from ..core import AffidavitResult, SearchProgress
 from ..obs import get_registry
 
 #: One logger for the whole service tier; records carry the job id both in
@@ -116,7 +122,7 @@ ADMISSION_REJECTED = _job_metrics.counter(
 #: Least time between two ``progressed`` frames of one job.  A small search
 #: expands a state about once a millisecond, and publishing a frame for each
 #: expansion added several milliseconds to a 60-record job's wall time; the
-#: job's polled progress and the caller's ``progress_callback`` still see
+#: job's polled progress and the session's progress observers still see
 #: every expansion.
 PROGRESS_FRAME_INTERVAL_S = 0.1
 
@@ -208,6 +214,11 @@ class JobEventBuffer:
                 self._closed = True
             self._cond.notify_all()
             return frame
+
+    def publish(self, event: SearchEvent) -> Optional[Dict[str, Any]]:
+        """Append *event* as a frame: its ``to_dict()`` under the envelope."""
+        payload = event.to_dict()
+        return self.append(payload.pop("kind"), **payload)
 
     def collect(self, after: int) -> Tuple[List[Dict[str, Any]], int, bool]:
         """``(frames with sequence > after, frames lost to the bound,
@@ -602,17 +613,8 @@ class JobManager:
         if job.state.is_terminal:
             # Lost the race against a concurrent cancel — don't search.
             return
-        instance = run.instance
-        job.events.append(
-            "started",
-            name=instance.name,
-            n_source_records=instance.n_source_records,
-            n_target_records=instance.n_target_records,
-            n_attributes=instance.n_attributes,
-            engine=engine_name(run.config),
-        )
+        job.events.publish(SearchStarted.of(run))
 
-        throttle_seconds = job.request.throttle_seconds
         # Monotonic time before which no further progressed frame is
         # published; the first expansion always gets one.
         next_frame_at = 0.0
@@ -623,16 +625,7 @@ class JobManager:
             now = time.monotonic()
             if now >= next_frame_at:
                 next_frame_at = now + PROGRESS_FRAME_INTERVAL_S
-                job.events.append(
-                    "progressed",
-                    expansions=progress.expansions,
-                    generated_states=progress.generated_states,
-                    queue_size=progress.queue_size,
-                    best_cost=progress.best_cost,
-                    cache_hit_rate=round(progress.cache_hit_rate, 4),
-                )
-            if throttle_seconds > 0:
-                time.sleep(throttle_seconds)
+                job.events.publish(SearchProgressed(progress))
 
         session = (
             self.session
@@ -646,8 +639,9 @@ class JobManager:
             return
         outcome = replace(outcome, idempotency_key=job.key)
         # A plain run stops early only when asked to — by this job's cancel
-        # or the session's own should_stop.  Inside the strategy chain a
-        # deadline stops it too, and that is an answer, not a cancelled job.
+        # or the session's own cancellation predicate.  Inside the strategy
+        # chain a deadline stops it too, and that is an answer, not a
+        # cancelled job.
         if job._cancel_event.is_set() or (outcome.cancelled and outcome.tiers is None):
             job._transition(JobState.CANCELLED, outcome=outcome)
             return

@@ -59,8 +59,10 @@ from urllib.parse import parse_qs, urlparse
 from .. import __version__
 from ..api import (
     TERMINAL_FRAME_KINDS,
+    ExplainRequest,
     ExplainSession,
     MemoryResultStore,
+    RequestValidationError,
     ResultStore,
     heartbeat_frame,
     make_frame,
@@ -76,12 +78,7 @@ from .jobs import (
     JobState,
     logger,
 )
-from .schemas import (
-    ExplainRequest,
-    JobView,
-    ResultView,
-    ValidationError,
-)
+from .schemas import job_view, result_view
 
 #: Default request-body cap; override per server via ``max_body_bytes``.
 MAX_BODY_BYTES = 64 * 1024 * 1024
@@ -312,9 +309,7 @@ class _Handler(BaseHTTPRequestHandler):
         elif parts == ["v1", "jobs"]:
             self._list_jobs(parse_qs(parsed.query))
         elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            self._with_job(parts[2], lambda job: self._send_json(
-                200, JobView.from_job(job).to_dict()
-            ))
+            self._with_job(parts[2], lambda job: self._send_json(200, job_view(job)))
         elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "result":
             query = parse_qs(parsed.query)
             self._with_job(parts[2], lambda job: self._send_result(job, query))
@@ -355,11 +350,11 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_error(429, error.reason, str(error),
                              retry_after_seconds=error.retry_after_seconds)
             return
-        except ValidationError as error:
+        except RequestValidationError as error:
             self._send_error(400, "invalid_request", str(error))
             return
         status = 200 if job.state is JobState.DONE else 202
-        self._send_json(status, JobView.from_job(job).to_dict())
+        self._send_json(status, job_view(job))
 
     def _route_delete(self) -> None:
         parts = [p for p in urlparse(self.path).path.split("/") if p]
@@ -426,7 +421,7 @@ class _Handler(BaseHTTPRequestHandler):
         jobs, next_cursor = self.server.manager.list_jobs(
             state=state, after=after, limit=limit)
         self._send_json(200, {
-            "jobs": [JobView.from_job(job).to_dict() for job in jobs],
+            "jobs": [job_view(job) for job in jobs],
             "next_cursor": None if next_cursor is None else str(next_cursor),
         })
 
@@ -448,7 +443,7 @@ class _Handler(BaseHTTPRequestHandler):
                 state=state.value)
             return
         if fmt == "json":
-            self._send_json(200, ResultView.from_job(job).to_dict())
+            self._send_json(200, result_view(job))
             return
         # sql/report rendering needs the snapshots; store-hit jobs have them
         # too (this replica materialised the request itself).

@@ -2,10 +2,12 @@
 
 import json
 import sys
+import time
 
 import pytest
 
 import repro
+import repro.api.session as session_module
 from repro.api import (
     ExplainOutcome,
     ExplainRequest,
@@ -18,7 +20,7 @@ from repro.api import (
     Session,
     UnsupportedSchemaVersion,
 )
-from repro.core import identity_configuration, overlap_configuration
+from repro.core import Affidavit, identity_configuration, overlap_configuration
 from repro.dataio import Schema, Table, write_csv
 
 
@@ -222,6 +224,62 @@ class TestExplainIter:
             next(Session().explain_iter(request))
 
 
+class TestThrottle:
+    """``throttle_seconds`` sleeps once per expansion on every road into a
+    run, not only in the service."""
+
+    @pytest.fixture
+    def sleeps(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(time, "sleep", calls.append)
+        return calls
+
+    @staticmethod
+    def throttled(running_source, running_target, **kwargs):
+        return ExplainRequest.inline(running_source, running_target,
+                                     throttle_seconds=0.01, use_cache=False,
+                                     **kwargs)
+
+    def test_explain_sleeps_once_per_expansion(self, sleeps, running_source,
+                                               running_target):
+        outcome = Session().explain(self.throttled(running_source, running_target))
+        assert outcome.expansions > 0
+        assert sleeps == [0.01] * outcome.expansions
+
+    def test_explain_iter_sleeps_once_per_progressed_event(
+            self, sleeps, running_source, running_target):
+        events = list(Session().explain_iter(
+            self.throttled(running_source, running_target)))
+        progressed = [event for event in events if event.kind == "progressed"]
+        assert progressed
+        assert sleeps == [0.01] * len(progressed)
+
+    def test_chain_tiers_are_throttled(self, sleeps, running_source,
+                                       running_target):
+        outcome = Session().explain(self.throttled(
+            running_source, running_target, strategy=("greedy", "full")))
+        tier_expansions = sum(
+            attempt.outcome.expansions for attempt in outcome.tiers
+            if attempt.outcome is not None
+        )
+        assert tier_expansions > 0
+        assert sleeps == [0.01] * tier_expansions
+
+    def test_unthrottled_run_gets_no_observer(self, monkeypatch):
+        observers = []
+
+        class Recording(Affidavit):
+            def __init__(self, config=None, **kwargs):
+                observers.append(kwargs)
+                super().__init__(config, **kwargs)
+
+        monkeypatch.setattr(session_module, "Affidavit", Recording)
+        Session().explain(division_request())
+        assert len(observers) == 1
+        assert observers[0]["progress"] is None
+        assert observers[0]["should_stop"] is None
+
+
 class TestOutcomeSerialization:
     def test_round_trip_is_identity(self):
         outcome = Session().explain(division_request(functions=("identity", "division")))
@@ -265,12 +323,6 @@ class TestOutcomeSerialization:
 
 
 class TestDeprecatedShim:
-    def test_explain_snapshots_warns_but_works(self):
-        source, target = division_tables()
-        with pytest.warns(DeprecationWarning, match="ExplainSession"):
-            result = repro.explain_snapshots(source, target)
-        assert result.explanation.functions["val"].meta_name == "division"
-
     def test_core_explain_snapshots_stays_quiet(self):
         import warnings
 
@@ -281,6 +333,10 @@ class TestDeprecatedShim:
             warnings.simplefilter("error", DeprecationWarning)
             result = core_explain_snapshots(source, target)
         assert result.explanation.functions["val"].meta_name == "division"
+
+    def test_top_level_shim_is_gone(self):
+        assert not hasattr(repro, "explain_snapshots")
+        assert "explain_snapshots" not in repro.__all__
 
     def test_session_alias_exported_at_top_level(self):
         assert repro.Session is ExplainSession

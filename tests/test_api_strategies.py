@@ -12,7 +12,6 @@ from repro.api import (
     SCHEMA_VERSION_V2,
     TIER_STATUSES,
     TIERS,
-    ChainRun,
     Deadline,
     ExplainBudget,
     ExplainOutcome,
@@ -421,11 +420,13 @@ class TestStrategyChain:
     def test_chain_run_exposes_the_answering_tier(self):
         session = ExplainSession()
         request = inline_request()
-        run = StrategyChain(session, strategy=("full",)).run(session.prepare(request))
-        assert isinstance(run, ChainRun)
-        assert run.answered_by == "full"
-        assert run.confidence == "exact"
-        assert run.attempts == run.outcome.tiers
+        outcome = StrategyChain(session, strategy=("full",)).run(session.prepare(request))
+        assert isinstance(outcome, ExplainOutcome)
+        assert outcome.provenance.tier == "full"
+        assert outcome.provenance.confidence == "exact"
+        assert [(attempt.tier, attempt.status) for attempt in outcome.tiers] == [
+            ("full", "answered")
+        ]
 
     def test_invalid_strategy_is_rejected(self):
         with pytest.raises(RequestValidationError, match="unknown strategy"):

@@ -365,8 +365,9 @@ class TestColumnarEquivalence:
 
     def test_result_and_progress_carry_cache_stats(self, running_example):
         snapshots = []
-        config = identity_configuration(progress_callback=snapshots.append)
-        result = Affidavit(config).explain(running_example)
+        result = Affidavit(
+            identity_configuration(), progress=snapshots.append
+        ).explain(running_example)
         assert result.cache_stats is not None
         assert result.cache_stats.lookups > 0
         assert result.cache_stats.hit_rate > 0.0

@@ -55,10 +55,12 @@ def _states(instance):
     return [empty, deeper]
 
 
-def _expander(instance, *, columnar=True, seed=0, **config):
+def _expander(instance, *, columnar=True, seed=0, should_stop=None, **config):
     evaluator = StateEvaluator(instance, columnar=columnar)
     configuration = identity_configuration(seed=seed, **config)
-    return StateExpander(instance, configuration, evaluator, random.Random(seed)), evaluator
+    expander = StateExpander(instance, configuration, evaluator, random.Random(seed),
+                             should_stop=should_stop)
+    return expander, evaluator
 
 
 def _sampled_examples(expander, mixed_blocks, seed):

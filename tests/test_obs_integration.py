@@ -24,7 +24,6 @@ from repro.api import (
 from repro.api.outcome import Timings
 from repro.core import Affidavit, identity_configuration
 from repro.obs import NULL_TRACER, Tracer, phase_totals
-from repro.service.schemas import ResultView
 
 from tests.test_service_http import explain_body, request, wait_for_state
 
@@ -263,13 +262,6 @@ def test_result_view_carries_blocking_cache(base_url):
     stats = result["blocking_cache"]
     assert stats is not None
     assert {"hits", "misses", "entries", "max_entries"} <= set(stats)
-
-
-def test_result_view_dataclass_mirrors_the_wire_shape():
-    # A library-level sanity check that ResultView.to_dict keys stay in sync
-    # with what the HTTP test above asserted.
-    fields = set(ResultView.__dataclass_fields__)
-    assert "blocking_cache" in fields
 
 
 def test_null_tracer_is_process_default():

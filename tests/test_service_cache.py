@@ -64,17 +64,6 @@ def test_key_depends_on_comparable_config_fields(pair):
         idempotency_key(source, target, identity_configuration(seed=1))
 
 
-def test_key_ignores_observer_callbacks(pair):
-    source, target = pair
-    plain = identity_configuration()
-    observed = identity_configuration().with_overrides(
-        progress_callback=lambda p: None, should_stop=lambda: False
-    )
-    assert idempotency_key(source, target, plain) == idempotency_key(
-        source, target, observed
-    )
-
-
 def test_key_is_unambiguous_for_separator_characters():
     # Without length-prefixing, ("a\x1fb", "c") and ("a", "b\x1fc") would
     # digest to the same bytes and collide.

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import threading
+from dataclasses import fields
 
 import pytest
 
-from repro.api import ExplainRequest, ExplainSession, RequestValidationError
+from repro.api import (
+    ExplainRequest,
+    ExplainSession,
+    RequestValidationError,
+    SearchProgressed,
+    SearchStarted,
+)
 from repro.core import Affidavit, SearchProgress, identity_configuration
 from repro.dataio import read_csv_text
-from repro.service import JobManager, JobNotFound, JobState
+from repro.service import JobManager, JobNotFound, JobState, job_view, result_view
 
 
 def submit(manager, source, target, **kwargs):
@@ -33,10 +40,8 @@ def pair():
 # --------------------------------------------------------------------- #
 def test_progress_callback_fires_per_expansion(running_example):
     seen = []
-    config = identity_configuration(max_expansions=50).with_overrides(
-        progress_callback=seen.append
-    )
-    result = Affidavit(config).explain(running_example)
+    config = identity_configuration(max_expansions=50)
+    result = Affidavit(config, progress=seen.append).explain(running_example)
     assert result.cancelled is False
     assert len(seen) == result.expansions
     assert all(isinstance(p, SearchProgress) for p in seen)
@@ -46,8 +51,9 @@ def test_progress_callback_fires_per_expansion(running_example):
 
 
 def test_should_stop_cancels_immediately(running_example):
-    config = identity_configuration().with_overrides(should_stop=lambda: True)
-    result = Affidavit(config).explain(running_example)
+    result = Affidavit(
+        identity_configuration(), should_stop=lambda: True
+    ).explain(running_example)
     assert result.cancelled is True
     assert result.expansions == 0
     # The forced finalisation must still produce a valid, bounded explanation.
@@ -61,19 +67,75 @@ def test_should_stop_mid_search_keeps_partial_progress(running_example):
         calls["n"] += 1
         return calls["n"] > 2
 
-    config = identity_configuration().with_overrides(should_stop=stop_after_two)
-    result = Affidavit(config).explain(running_example)
+    result = Affidavit(
+        identity_configuration(), should_stop=stop_after_two
+    ).explain(running_example)
     assert result.cancelled is True
     assert result.cost <= result.trivial_cost
 
 
-def test_observer_configs_compare_equal():
-    plain = identity_configuration()
-    observed = identity_configuration().with_overrides(
-        progress_callback=lambda p: None, should_stop=lambda: False
-    )
-    assert plain == observed
-    assert hash(plain) == hash(observed)
+# --------------------------------------------------------------------- #
+# job frames and results are the library's own
+# --------------------------------------------------------------------- #
+_ENVELOPE = ("schema_version", "kind", "job_id", "sequence")
+
+
+def test_job_frames_are_the_library_events(running_source, running_target):
+    request = ExplainRequest.inline(running_source, running_target,
+                                    use_cache=False)
+    session = ExplainSession()
+    with JobManager(workers=1, session=session) as manager:
+        job = manager.submit_request(request)
+        assert job.wait(60.0) and job.state is JobState.DONE
+    frames, _, _ = job.events.collect(0)
+    started = frames[0]
+    assert started["kind"] == "started"
+    expected = SearchStarted.of(session.prepare(request)).to_dict()
+    del expected["kind"]
+    body = {key: value for key, value in started.items() if key not in _ENVELOPE}
+    assert list(body.items()) == list(expected.items())
+    progressed = [frame for frame in frames if frame["kind"] == "progressed"]
+    assert progressed
+    keys = list(SearchProgressed(job.progress).to_dict())[1:]
+    for frame in progressed:
+        assert [key for key in frame if key not in _ENVELOPE] == keys
+
+
+def test_finished_job_config_is_plain_data(pair):
+    source, target = pair
+    request = ExplainRequest.inline(source, target, use_cache=False)
+    with JobManager(workers=1) as manager:
+        job = manager.submit_request(request)
+        assert job.wait(60.0) and job.state is JobState.DONE
+        resolved = manager.session.prepare(request).config
+    config = job.outcome.result.config
+    assert config == resolved
+    assert not [spec.name for spec in fields(config)
+                if callable(getattr(config, spec.name))]
+
+
+def test_views_keep_the_wire_shape(pair):
+    source, target = pair
+    with JobManager(workers=1) as manager:
+        job = submit(manager, source, target, use_cache=False)
+        assert job.wait(60.0) and job.state is JobState.DONE
+    assert list(job_view(job)) == [
+        "id", "name", "state", "cache_hit", "store_hit", "priority",
+        "idempotency_key", "submitted_at", "started_at", "finished_at",
+        "error", "progress",
+    ]
+    assert list(job_view(job)["progress"]) == [
+        "expansions", "generated_states", "queue_size", "best_cost",
+        "cache_hits", "cache_misses", "cache_hit_rate",
+    ]
+    view = result_view(job)
+    assert list(view) == [
+        "job_id", "name", "cache_hit", "cancelled", "cost", "trivial_cost",
+        "compression_ratio", "expansions", "generated_states",
+        "runtime_seconds", "explanation", "column_cache", "blocking_cache",
+        "timings", "provenance", "tier", "confidence", "tiers",
+    ]
+    assert view["cost"] == job.outcome.cost and view["tiers"] is None
 
 
 # --------------------------------------------------------------------- #

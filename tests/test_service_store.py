@@ -21,10 +21,10 @@ from repro.service import (
     JobManager,
     JobState,
     MemoryResultStore,
-    ResultView,
     SqliteResultStore,
     create_server,
     open_store,
+    result_view,
 )
 
 
@@ -168,10 +168,10 @@ def test_second_replica_answers_from_store(tmp_path, pair):
         assert job.result is None  # the outcome crossed the wire boundary
         assert job.outcome is not None
         assert job.outcome.cost == computed.outcome.cost
-        view = ResultView.from_job(job)
-        assert view.cost == computed.outcome.cost
-        assert view.explanation == json.loads(
-            json.dumps(view.explanation))  # JSON-stable
+        view = result_view(job)
+        assert view["cost"] == computed.outcome.cost
+        assert view["explanation"] == json.loads(
+            json.dumps(view["explanation"]))  # JSON-stable
     store.close()
 
 
