@@ -214,9 +214,11 @@ class ExplainSession:
         """A session that also polls *should_stop* once per expansion."""
         return self._clone(should_stop=_chain_stop(self._should_stop, should_stop))
 
-    def with_data_root(self, data_root: Optional[Path]) -> "ExplainSession":
+    def with_data_root(self, data_root: Union[str, Path, None]) -> "ExplainSession":
         """A session confining request snapshot paths to *data_root*."""
-        return self._clone(data_root=data_root)
+        return self._clone(
+            data_root=Path(data_root) if data_root is not None else None
+        )
 
     def with_snapshot_cache(self, cache_dir: Union[str, Path, None]) -> "ExplainSession":
         """A session caching materialised snapshots as binary buffer packs.
@@ -224,11 +226,10 @@ class ExplainSession:
         Every snapshot pair this session loads is persisted under
         *cache_dir* as one content-addressed ``.afbuf`` file (keyed by a
         digest of the raw CSV bytes plus the delimiter).  A later request
-        over the same bytes skips CSV parsing entirely: the cache file is
-        mmap-ed and columns decode lazily, so attributes the search never
-        touches are never materialised.  Corrupt or missing cache entries
-        fall back to the CSV path and are rewritten.  ``None`` disables
-        caching.
+        over the same bytes skips CSV parsing: the cache file is read and
+        every column decoded from its stored codes and codebook.
+        Corrupt or missing cache entries fall back to the CSV path and are
+        rewritten.  ``None`` disables caching.
         """
         return self._clone(
             snapshot_cache=Path(cache_dir) if cache_dir is not None else None
@@ -336,7 +337,8 @@ class ExplainSession:
     def _snapshot_cache_path(self, request: ExplainRequest) -> Optional[Path]:
         """The content-addressed cache file for the request's snapshot bytes,
         or ``None`` when the bytes cannot be read (the CSV path will produce
-        the proper validation error)."""
+        the proper validation error) or inline CSV holds a lone surrogate,
+        which no UTF-8 cache key or ``AFBUF01`` value blob can carry."""
         try:
             if request.source_csv is not None:
                 chunks = (
@@ -352,7 +354,7 @@ class ExplainSession:
                         request.target_path, self._data_root
                     ).read_bytes(),
                 )
-        except OSError:
+        except (OSError, UnicodeEncodeError):
             return None
         digest = content_digest(*chunks, request.delimiter.encode("utf-8"))
         return self._snapshot_cache / f"{digest}.afbuf"
@@ -361,7 +363,7 @@ class ExplainSession:
         """The request's two snapshots.
 
         With a snapshot cache configured (:meth:`with_snapshot_cache`), a
-        cache hit mmap-s the binary buffer pack instead of re-parsing CSV;
+        cache hit decodes the binary buffer pack instead of re-parsing CSV;
         misses parse the CSV once and write the pack for next time.
         """
         cache_path = None

@@ -74,8 +74,6 @@ _KEY_VERSION = "affidavit-key/v2"
 
 
 def _table_document(table: Table) -> list:
-    # list() also materialises lazily decoded buffer columns, whose raw list
-    # storage the C JSON encoder would otherwise read as empty.
     return [list(table.schema), [list(column) for column in table.columns().values()]]
 
 

@@ -270,26 +270,26 @@ class ColumnCache:
     # ------------------------------------------------------------------ #
     def transformed(self, attribute: str,
                     function: AttributeFunction) -> Sequence[str]:
-        """*function* applied to the whole *attribute* column (read-only).
+        """*function* applied to the whole *attribute* column (read-only):
+        the row-wise reference's string columns.
 
         Identity functions return the table's column view itself — zero-copy
-        and counted as a hit, since no application work happens.  Otherwise
-        the column is materialised through the value map: one ``apply`` per
-        distinct value ever seen, one dict lookup per cell.
+        and counted as a hit, since no application work happens.  A disabled
+        cache applies any other function cell by cell, without memoization.
+        An enabled cache serves code arrays only (:meth:`transformed_codes`)
+        and rejects a non-identity function here.
         """
         column = self._table.column_view(attribute)
         if function.is_identity:
             # The identity never fails, so no sentinel substitution is needed.
             self._hits += 1
             return column
-        if not self._enabled:
-            # Row-wise fallback: per-cell application, no memoization.
-            self._misses += 1
-            self._applications += len(column)
-            return apply_with_sentinel(function, column)
-        mapping = self._entry(attribute, function).mapping
-        self._extend_map(mapping, function, column.value_counts().keys())
-        return [mapping[cell] for cell in column]
+        if self._enabled:
+            raise ValueError("string columns are served by the row-wise engine "
+                             "only; use transformed_codes")
+        self._misses += 1
+        self._applications += len(column)
+        return apply_with_sentinel(function, column)
 
     # ------------------------------------------------------------------ #
     # dictionary-encoded lookups
@@ -304,8 +304,7 @@ class ColumnCache:
     def _source_domain(self, attribute: str) -> Tuple[Sequence[int], List[str], List[int]]:
         """``(encoded column, distinct values, their codes)`` of the raw
         source column — computed once per attribute via the column's cached
-        dictionary encoding.  Buffer-backed columns hand over their packed
-        code buffer directly, so the remap walks raw ints end to end."""
+        dictionary encoding."""
         cached = self._source_codes.get(attribute)
         if cached is None:
             column = self._table.column_view(attribute)

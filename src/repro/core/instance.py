@@ -128,7 +128,7 @@ class ProblemInstance:
     # binary snapshot cache
     # ------------------------------------------------------------------ #
     def save(self, path: Union[str, Path]) -> Path:
-        """Persist both snapshots as one mmap-able binary cache file.
+        """Persist both snapshots as one ``AFBUF01`` binary cache file.
 
         Only the tables and the name are stored — the function pool is code,
         not data, so :meth:`load` takes a registry (defaulting to
@@ -143,8 +143,7 @@ class ProblemInstance:
              name: Optional[str] = None) -> "ProblemInstance":
         """Rebuild an instance from a :meth:`save` file.
 
-        The file is mmap-ed and the columns stay lazy: attributes the search
-        never reads positionally are never decoded into string cells.
+        Every column is decoded once, here, into a plain frozen column.
         Raises :class:`~repro.dataio.BufferFormatError` on corrupt caches.
         """
         source, target, stored_name = open_snapshot_pair(path)

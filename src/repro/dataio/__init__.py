@@ -4,11 +4,7 @@ from .schema import Schema, SchemaError
 from .table import Column, ColumnStats, Row, Table, TableError
 from .csv_io import read_csv, read_csv_text, read_snapshot_pair, to_csv_text, write_csv
 from .buffers import (
-    BufferColumn,
     BufferFormatError,
-    ColumnBuffer,
-    ValueBlob,
-    buffer_table,
     content_digest,
     open_snapshot_pair,
     pack_tables,
@@ -25,11 +21,7 @@ __all__ = [
     "Column",
     "ColumnStats",
     "Row",
-    "BufferColumn",
     "BufferFormatError",
-    "ColumnBuffer",
-    "ValueBlob",
-    "buffer_table",
     "content_digest",
     "open_snapshot_pair",
     "pack_tables",

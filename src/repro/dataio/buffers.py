@@ -1,42 +1,33 @@
-"""Binary columnar buffers: packed dictionary codes and mmap-able snapshots.
+"""Binary columnar snapshots: the ``AFBUF01`` container and the snapshot cache.
 
 Every frozen :class:`~repro.dataio.table.Column` already knows its dense
 dictionary encoding (``codes`` + first-occurrence ``codebook``).  This module
-packs that encoding into flat binary buffers:
+packs that encoding into one flat, self-describing container: per column an
+``int32`` code array, a ``uint64`` offset index and a UTF-8 value blob
+(value *i* is ``data[offsets[i]:offsets[i + 1]]``).
+:func:`pack_tables` / :func:`unpack_tables` convert between tables and
+container bytes; :func:`write_snapshot_pair` / :func:`open_snapshot_pair`
+persist a snapshot pair as an on-disk snapshot cache file.
 
-* :class:`ValueBlob` — the distinct values of one column as a single UTF-8
-  byte blob plus a ``uint64`` offset index (value *i* is
-  ``data[offsets[i]:offsets[i + 1]]``), so a codebook of *k* values costs two
-  allocations instead of *k* string objects until a value is actually read;
-* :class:`ColumnBuffer` — one column as an ``int32`` code array over a value
-  blob, sliceable as zero-copy ``memoryview``s;
-* :class:`BufferColumn` — a lazy :class:`Column` backed by a buffer: length,
-  membership, histograms, kind and the dictionary encoding are all served
-  from the codes and the (small) codebook, and the actual cell strings are
-  only materialised when positional access demands them — a column no
-  consumer indexes is never decoded;
-* a length-prefixed container format (:func:`pack_tables` /
-  :func:`unpack_tables`) that serialises whole tables as raw buffer bytes;
-  :func:`write_snapshot_pair` / :func:`open_snapshot_pair` persist it as an
-  on-disk snapshot cache that :mod:`mmap` maps back in without copying.
-
-Unpacking is *zero-copy*: the returned tables hold ``memoryview`` slices of
-the caller's buffer (an mmap or a bytes object), and the
-views keep the underlying buffer alive.  Corrupt input of any shape must
-raise :exc:`BufferFormatError`, never an arbitrary exception — the fuzz
-harness's ``buffer_roundtrip`` oracle enforces exactly that.
+Unpacking decodes every column once, into plain frozen :class:`Column`\\ s
+that share nothing with the input bytes: the search reads every attribute of
+both snapshots, so nothing would be saved by decoding later.  What a cache
+hit saves is CSV parsing.  Container bytes come from outside the
+program, so each one is checked, and corrupt input of any shape raises
+:exc:`BufferFormatError`, never an arbitrary exception — the fuzz harness's
+``buffer_roundtrip`` oracle enforces exactly that.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import mmap
+import operator
 import sys
 from array import array
 from collections import Counter
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from .schema import Schema, SchemaError
 from .table import Column, Table, TableError
@@ -73,386 +64,61 @@ def _cast_ints(view: memoryview, typecode: str, byteorder: str) -> Sequence[int]
     return swapped
 
 
-class ValueBlob:
-    """The distinct values of one column as an offset-indexed UTF-8 blob."""
-
-    __slots__ = ("_offsets", "_data")
-
-    def __init__(self, offsets: Sequence[int], data: Union[bytes, memoryview]):
-        self._offsets = offsets
-        self._data = data
-
-    @classmethod
-    def from_values(cls, values: Iterable[str]) -> "ValueBlob":
-        offsets = array(OFFSET_TYPECODE, [0])
-        chunks: List[bytes] = []
-        position = 0
-        for value in values:
-            encoded = value.encode("utf-8")
-            chunks.append(encoded)
-            position += len(encoded)
-            offsets.append(position)
-        return cls(offsets, b"".join(chunks))
-
-    def __len__(self) -> int:
-        return len(self._offsets) - 1
-
-    @property
-    def offsets(self) -> Sequence[int]:
-        return self._offsets
-
-    @property
-    def data(self) -> Union[bytes, memoryview]:
-        return self._data
-
-    def validate(self) -> None:
-        """Structural soundness: offsets start at 0, never decrease, and end
-        exactly at the data length.  Raises :exc:`BufferFormatError`."""
-        offsets = self._offsets
-        if len(offsets) == 0:
-            raise BufferFormatError("value blob has an empty offset index")
-        if offsets[0] != 0:
-            raise BufferFormatError(
-                f"value blob offsets start at {offsets[0]}, expected 0"
-            )
-        previous = 0
-        for offset in offsets:
-            if offset < previous:
-                raise BufferFormatError("value blob offsets decrease")
-            previous = offset
-        if previous != len(self._data):
-            raise BufferFormatError(
-                f"value blob offsets end at {previous} but data holds "
-                f"{len(self._data)} bytes"
-            )
-
-    def value(self, index: int) -> str:
-        """Decode the value at *index* (bounds- and UTF-8-checked)."""
-        if not 0 <= index < len(self):
-            raise BufferFormatError(f"value index out of range: {index}")
-        start, end = self._offsets[index], self._offsets[index + 1]
-        try:
-            return bytes(self._data[start:end]).decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise BufferFormatError(
-                f"value {index} is not valid UTF-8: {error}"
-            ) from error
-
-    def values(self) -> List[str]:
-        """Every value, decoded, in blob order."""
-        return [self.value(index) for index in range(len(self))]
-
-    def __repr__(self) -> str:
-        return f"ValueBlob({len(self)} values, {len(self._data)} bytes)"
+def _column_sections(column: Column) -> Tuple[bytes, bytes, bytes, int]:
+    """``(codes, offsets, data)`` section bytes of one column, plus its
+    codebook size, from the column's cached dictionary encoding."""
+    codes, codebook = column.dictionary()
+    offsets = array(OFFSET_TYPECODE, [0])
+    chunks: List[bytes] = []
+    position = 0
+    for value in codebook:
+        encoded = value.encode("utf-8")
+        chunks.append(encoded)
+        position += len(encoded)
+        offsets.append(position)
+    return (array(CODE_TYPECODE, codes).tobytes(), offsets.tobytes(),
+            b"".join(chunks), len(codebook))
 
 
-class ColumnBuffer:
-    """One column as an ``int32`` code array over a :class:`ValueBlob`.
+def _decode_column(codes: Sequence[int], offsets: Sequence[int],
+                   data: memoryview) -> Column:
+    """One column decoded from its sections (lengths already checked).
 
-    The buffer trusts nothing: :meth:`validate` (run lazily, once, before the
-    first decoding access) checks the offset index and that every code names
-    an existing value, so corrupt snapshot bytes surface as
-    :exc:`BufferFormatError` instead of stray ``IndexError``\\ s.
+    Checks that the offsets start at 0, never decrease and end at the data
+    length, that every value is UTF-8, that the codebook is injective and
+    that every code names a value.
     """
-
-    __slots__ = ("codes", "blob", "_validated")
-
-    def __init__(self, codes: Sequence[int], blob: ValueBlob, *,
-                 validated: bool = False):
-        self.codes = codes
-        self.blob = blob
-        self._validated = validated
-
-    @classmethod
-    def from_column(cls, column: Column) -> "ColumnBuffer":
-        """Pack *column* via its cached dictionary encoding (zero re-scan when
-        the column is already buffer-backed)."""
-        if isinstance(column, BufferColumn):
-            buffer = column.buffer
-            if buffer is not None:
-                return buffer
-        codes, codebook = column.dictionary()
-        return cls(
-            array(CODE_TYPECODE, codes), ValueBlob.from_values(codebook),
-            validated=True,
+    if offsets[0] != 0:
+        raise BufferFormatError(
+            f"value blob offsets start at {offsets[0]}, expected 0"
         )
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.codes)
-
-    @property
-    def n_values(self) -> int:
-        return len(self.blob)
-
-    def validate(self) -> None:
-        if self._validated:
-            return
-        self.blob.validate()
-        n_values = len(self.blob)
-        # min/max drive the scan from C; the explicit loop only runs to name
-        # the offending code once a violation is known to exist.
-        if len(self.codes) and not 0 <= min(self.codes) <= max(self.codes) < n_values:
-            for code in self.codes:
-                if not 0 <= code < n_values:
-                    raise BufferFormatError(
-                        f"code {code} outside the codebook ({n_values} values)"
-                    )
-        self._validated = True
-
-    def codebook(self) -> Dict[str, int]:
-        """``{value -> code}`` in blob order (the dictionary-encoding shape).
-
-        Raises :exc:`BufferFormatError` when two blob entries decode to the
-        same string — a corrupt codebook would otherwise silently alias
-        distinct codes."""
-        self.validate()
-        book: Dict[str, int] = {}
-        for code in range(len(self.blob)):
-            value = self.blob.value(code)
-            if value in book:
-                raise BufferFormatError(
-                    f"codebook is not injective: {value!r} appears twice"
-                )
-            book[value] = code
-        return book
-
-    def contains(self, value: str) -> bool:
-        """Membership test served from the codebook (no cell decoding).
-
-        Compares the needle's UTF-8 bytes against raw blob slices — a length
-        check against the offset index prunes almost every candidate without
-        constructing a single Python string."""
-        # A codebook query never touches the code array, so only the blob
-        # needs validating — the code-range scan stays lazy until cells are
-        # actually decoded.
-        self.blob.validate()
-        needle = value.encode("utf-8")
-        data = self.blob.data
-        # C-level substring search prunes the common negative case before the
-        # precise scan; a hit still needs offset alignment confirmed below.
-        raw = data if isinstance(data, bytes) else bytes(data)
-        if needle and needle not in raw:
-            return False
-        width = len(needle)
-        offsets = self.blob.offsets
-        for code in range(len(self.blob)):
-            start = offsets[code]
-            if offsets[code + 1] - start == width and data[start:start + width] == needle:
-                return True
-        return False
-
-    def value_histogram(self) -> Counter:
-        """Value histogram from the code array: one decode per distinct
-        value, keys in first-cell-occurrence order (matching ``Counter`` over
-        the decoded cells)."""
-        self.validate()
-        code_counts: Dict[int, int] = {}
-        get = code_counts.get
-        for code in self.codes:
-            code_counts[code] = get(code, 0) + 1
-        return Counter({
-            self.blob.value(code): count for code, count in code_counts.items()
-        })
-
-    def decode(self) -> List[str]:
-        """Every cell as a string (the full materialisation)."""
-        self.validate()
-        values = self.blob.values()
-        return [values[code] for code in self.codes]
-
-    def sections(self) -> Tuple[bytes, bytes, bytes]:
-        """``(codes, offsets, data)`` as raw native-order bytes."""
-        codes = self.codes
-        if isinstance(codes, memoryview):
-            codes_bytes = bytes(codes)
-        elif isinstance(codes, array):
-            codes_bytes = codes.tobytes()
-        else:
-            codes_bytes = array(CODE_TYPECODE, codes).tobytes()
-        offsets = self.blob.offsets
-        if isinstance(offsets, memoryview):
-            offsets_bytes = bytes(offsets)
-        elif isinstance(offsets, array):
-            offsets_bytes = offsets.tobytes()
-        else:
-            offsets_bytes = array(OFFSET_TYPECODE, offsets).tobytes()
-        return codes_bytes, offsets_bytes, bytes(self.blob.data)
-
-    def __repr__(self) -> str:
-        return f"ColumnBuffer({self.n_rows} codes over {self.n_values} values)"
-
-
-class BufferColumn(Column):
-    """A :class:`Column` whose cells live in a :class:`ColumnBuffer`.
-
-    Statistics queries (length, membership, value histogram, dictionary
-    encoding, inferred kind) are answered from the codes and the codebook
-    without decoding a single cell; positional access (indexing, iteration,
-    slicing) materialises the string cells once, lazily.  ``list`` is a
-    C-level container, so every entry point that would read the raw storage
-    directly — including equality, which the table layer uses — is overridden
-    to materialise first.  Mutation (legal only on unfrozen tables) detaches
-    the buffer: a mutated column behaves exactly like a plain one.
-    """
-
-    __slots__ = ("_buffer", "_loaded")
-
-    def __init__(self, buffer: ColumnBuffer):
-        self._buffer: Optional[ColumnBuffer] = buffer
-        self._loaded = False
-        super().__init__(())
-
-    @property
-    def buffer(self) -> Optional[ColumnBuffer]:
-        """The backing buffer (``None`` once the column was mutated)."""
-        return self._buffer
-
-    @property
-    def materialised(self) -> bool:
-        """True once the string cells were decoded into list storage."""
-        return self._loaded
-
-    def _materialise(self) -> None:
-        if not self._loaded:
-            buffer = self._buffer
-            self._loaded = True
-            # Bypass Column.extend: decoding does not invalidate the caches
-            # already served from the buffer — it yields the same cells.
-            list.extend(self, buffer.decode())
-
-    def _detach(self) -> None:
-        """Materialise and drop the buffer before a mutation."""
-        self._materialise()
-        self._buffer = None
-
-    # -- buffer-served queries (no cell decoding) ------------------------ #
-    def __len__(self) -> int:
-        buffer = self._buffer
-        if buffer is not None and not self._loaded:
-            return buffer.n_rows
-        return list.__len__(self)
-
-    def __contains__(self, item: object) -> bool:
-        buffer = self._buffer
-        if buffer is None or self._loaded:
-            return list.__contains__(self, item)
-        return isinstance(item, str) and buffer.contains(item)
-
-    def value_counts(self) -> Counter:
-        if self._counts is None:
-            buffer = self._buffer
-            if buffer is None:
-                return super().value_counts()
-            self._counts = buffer.value_histogram()
-        return self._counts
-
-    def dictionary(self) -> Tuple[Sequence[int], Dict[str, int]]:
-        if self._dictionary is None:
-            buffer = self._buffer
-            if buffer is None:
-                return super().dictionary()
-            # The stored codes *are* the first-occurrence dense encoding —
-            # pack_tables built them from Column.dictionary() — so the code
-            # array is shared outright instead of re-derived cell by cell.
-            self._dictionary = (buffer.codes, buffer.codebook())
-        return self._dictionary
-
-    # -- positional access materialises ---------------------------------- #
-    def __getitem__(self, index):
-        self._materialise()
-        return list.__getitem__(self, index)
-
-    def __iter__(self):
-        self._materialise()
-        return list.__iter__(self)
-
-    def __reversed__(self):
-        self._materialise()
-        return list.__reversed__(self)
-
-    def __eq__(self, other: object) -> bool:
-        # list equality reads both operands' raw storage at C level, so both
-        # sides must be materialised.  (Column is a plain list subclass, so
-        # Python tries BufferColumn's reflected __eq__ first when a plain
-        # column sits on the left.)
-        if isinstance(other, BufferColumn):
-            other._materialise()
-        if isinstance(other, list):
-            self._materialise()
-            return list.__eq__(self, other)
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    __hash__ = None  # lists are unhashable; keep that explicit under __eq__
-
-    def __reduce__(self):
-        # Pickling flattens to a plain Column: buffers may wrap memoryviews
-        # (unpicklable) and the receiver rebuilds its own encodings anyway.
-        self._materialise()
-        return (Column, (list(self),))
-
-    # -- mutation detaches the buffer ------------------------------------ #
-    def append(self, cell: str) -> None:
-        self._detach()
-        super().append(cell)
-
-    def extend(self, cells) -> None:
-        self._detach()
-        super().extend(cells)
-
-    def insert(self, index: int, cell: str) -> None:
-        self._detach()
-        super().insert(index, cell)
-
-    def __setitem__(self, index, cell) -> None:
-        self._detach()
-        super().__setitem__(index, cell)
-
-    def __delitem__(self, index) -> None:
-        self._detach()
-        super().__delitem__(index)
-
-    def __iadd__(self, cells):
-        self._detach()
-        return super().__iadd__(cells)
-
-    def __imul__(self, factor):
-        self._detach()
-        return super().__imul__(factor)
-
-    def clear(self) -> None:
-        self._detach()
-        super().clear()
-
-    def pop(self, index: int = -1) -> str:
-        self._detach()
-        return super().pop(index)
-
-    def remove(self, cell: str) -> None:
-        self._detach()
-        super().remove(cell)
-
-
-def buffer_table(table: Table) -> Table:
-    """*table* rebuilt on buffer-backed columns (frozen, same contents).
-
-    The in-memory counterpart of a snapshot round trip; mostly useful to
-    tests and benchmarks that want buffer-backed instances without a file.
-    """
-    clone = Table(table.schema)
-    clone._columns = [
-        BufferColumn(ColumnBuffer.from_column(table.column_view(attribute)))
-        for attribute in table.schema
-    ]
-    clone._n_rows = table.n_rows
-    clone._frozen = True
-    return clone
+    if not all(map(operator.le, offsets, offsets[1:])):
+        raise BufferFormatError("value blob offsets decrease")
+    if offsets[-1] != len(data):
+        raise BufferFormatError(
+            f"value blob offsets end at {offsets[-1]} but data holds "
+            f"{len(data)} bytes"
+        )
+    n_values = len(offsets) - 1
+    try:
+        values = [str(data[offsets[i]:offsets[i + 1]], "utf-8")
+                  for i in range(n_values)]
+    except UnicodeDecodeError as error:
+        raise BufferFormatError(f"value blob is not valid UTF-8: {error}") from error
+    if len(set(values)) != n_values:
+        duplicate = next(value for value, count in Counter(values).items()
+                         if count > 1)
+        raise BufferFormatError(
+            f"codebook is not injective: {duplicate!r} appears twice"
+        )
+    # min/max drive the range scan from C; a negative code would otherwise
+    # index the value list from its end.
+    if len(codes) and not 0 <= min(codes) <= max(codes) < n_values:
+        bad = next(code for code in codes if not 0 <= code < n_values)
+        raise BufferFormatError(
+            f"code {bad} outside the codebook ({n_values} values)"
+        )
+    return Column(map(values.__getitem__, codes))
 
 
 # --------------------------------------------------------------------------- #
@@ -466,7 +132,8 @@ def pack_tables(tables: Sequence[Table], *, extra: bytes = b"",
     header describing every section, then the raw payload (code arrays,
     offset indexes, value blobs, the opaque *extra* blob) back to back.
     Section offsets are relative to the payload start, so the header never
-    depends on its own size.
+    depends on its own size.  Packing is deterministic: the snapshot cache
+    is content-addressed on these bytes.
     """
     payload_chunks: List[bytes] = []
     position = 0
@@ -482,13 +149,13 @@ def pack_tables(tables: Sequence[Table], *, extra: bytes = b"",
     for table in tables:
         columns = []
         for attribute in table.schema:
-            buffer = ColumnBuffer.from_column(table.column_view(attribute))
-            codes_bytes, offsets_bytes, data_bytes = buffer.sections()
+            codes_bytes, offsets_bytes, data_bytes, n_values = _column_sections(
+                table.column_view(attribute))
             columns.append({
                 "codes": add(codes_bytes),
                 "offsets": add(offsets_bytes),
                 "data": add(data_bytes),
-                "n_values": buffer.n_values,
+                "n_values": n_values,
             })
         described.append({
             "schema": list(table.schema),
@@ -511,13 +178,12 @@ def pack_tables(tables: Sequence[Table], *, extra: bytes = b"",
     ])
 
 
-def unpack_tables(data: Union[bytes, bytearray, memoryview, mmap.mmap],
+def unpack_tables(data: Union[bytes, bytearray, memoryview],
                   ) -> Tuple[List[Table], bytes, str]:
     """Rebuild ``(tables, extra, name)`` from :func:`pack_tables` bytes.
 
-    Zero-copy: the returned tables hold :class:`BufferColumn`\\ s over
-    ``memoryview`` slices of *data* (which the views keep alive), and cells
-    are only decoded when a consumer actually reads them.  Any structural
+    Every column is decoded and checked here, into a plain :class:`Column`
+    of a frozen table that keeps no reference to *data*.  Any structural
     problem raises :exc:`BufferFormatError`.
     """
     view = memoryview(data)
@@ -607,8 +273,9 @@ def unpack_tables(data: Union[bytes, bytearray, memoryview, mmap.mmap],
                         f"offset index holds {len(offsets)} entries for "
                         f"{n_values} values"
                     )
-                blob = ValueBlob(offsets, section(meta.get("data")))
-                columns.append(BufferColumn(ColumnBuffer(codes, blob)))
+                columns.append(
+                    _decode_column(codes, offsets, section(meta.get("data")))
+                )
             table = Table(schema)
             table._columns = columns
             table._n_rows = n_rows
@@ -627,7 +294,7 @@ def unpack_tables(data: Union[bytes, bytearray, memoryview, mmap.mmap],
 def write_snapshot_pair(source: Table, target: Table,
                         path: Union[str, Path], *,
                         name: str = "instance") -> Path:
-    """Persist two snapshots as one mmap-able binary cache file.
+    """Persist two snapshots as one ``AFBUF01`` cache file.
 
     Written atomically (temp file + rename), so a concurrent
     :func:`open_snapshot_pair` never sees a half-written cache.
@@ -642,22 +309,16 @@ def write_snapshot_pair(source: Table, target: Table,
 
 
 def open_snapshot_pair(path: Union[str, Path]) -> Tuple[Table, Table, str]:
-    """Map a :func:`write_snapshot_pair` file back in, without copying.
+    """Load a :func:`write_snapshot_pair` file: ``(source, target, name)``.
 
-    The file is mmap-ed read-only; the returned tables' buffer columns hold
-    views into the mapping (which they keep alive), and a column's cells are
-    only decoded — and hence its file pages only fully read — when something
-    actually indexes it.
+    The file is read and decoded in full; an unreadable, corrupt or
+    non-pair file raises :exc:`BufferFormatError`.
     """
-    path = Path(path)
     try:
-        with open(path, "rb") as handle:
-            if path.stat().st_size == 0:
-                raise BufferFormatError(f"snapshot cache {path} is empty")
-            mapped = mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ)
+        data = Path(path).read_bytes()
     except OSError as error:
-        raise BufferFormatError(f"cannot map snapshot cache: {error}") from error
-    tables, _extra, name = unpack_tables(mapped)
+        raise BufferFormatError(f"cannot read snapshot cache: {error}") from error
+    tables, _extra, name = unpack_tables(data)
     if len(tables) != 2:
         raise BufferFormatError(
             f"snapshot cache holds {len(tables)} tables, expected 2"
@@ -683,13 +344,9 @@ def content_digest(*chunks: bytes) -> str:
 
 
 __all__ = [
-    "BufferColumn",
     "BufferFormatError",
-    "ColumnBuffer",
     "FORMAT_VERSION",
     "MAGIC",
-    "ValueBlob",
-    "buffer_table",
     "content_digest",
     "open_snapshot_pair",
     "pack_tables",

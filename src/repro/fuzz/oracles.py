@@ -23,12 +23,11 @@ not fuzzer errors.  The oracles:
     JSON.
 ``buffer_roundtrip``
     The binary columnar container (``pack_tables``/``unpack_tables`` and
-    the on-disk snapshot cache) is a fixed
-    point: codes→buffer→codes reproduces every cell, packing is
-    deterministic, an mmap-loaded snapshot equals the in-memory load, and
-    *corrupted* container bytes either raise :class:`BufferFormatError` or
-    still decode into structurally sound tables — never any other
-    exception.
+    the on-disk snapshot cache) is a fixed point: codes→buffer→codes
+    reproduces every cell, packing is deterministic, a snapshot loaded from
+    a cache file equals the in-memory load, and *corrupted* container bytes
+    either raise :class:`BufferFormatError` or still decode into
+    structurally sound tables — never any other exception.
 ``budget_respected``
     A budgeted run answers within a deadline-derived wall-clock envelope,
     names a known tier/confidence whose label agrees with the cost (an
@@ -411,7 +410,7 @@ def _table_cells(table) -> List[List[str]]:
 
 def buffer_roundtrip(pair: SnapshotPair, *, seed: int = 0, **_ignored) -> None:
     """The packed buffer container is a lossless, deterministic fixed point,
-    the mmap snapshot load equals the in-memory load, and corrupt bytes are
+    the snapshot file load equals the in-memory load, and corrupt bytes are
     always a :class:`BufferFormatError` (or decode to sound tables)."""
     import random as random_module
     import tempfile
@@ -442,7 +441,7 @@ def buffer_roundtrip(pair: SnapshotPair, *, seed: int = 0, **_ignored) -> None:
                 oracle="buffer_roundtrip",
                 message="codes→buffer→codes is not a fixed point",
             )
-        # Re-packing the unpacked (buffer-backed) tables must be bit-stable:
+        # Re-packing the unpacked tables must be bit-stable:
         # the pack is content-addressed by the snapshot cache.
         if pack_tables(tables, name="fuzz") != blob:
             raise OracleFailure(
@@ -452,12 +451,12 @@ def buffer_roundtrip(pair: SnapshotPair, *, seed: int = 0, **_ignored) -> None:
         with tempfile.TemporaryDirectory(prefix="fuzz-afbuf-") as tmp:
             path = Path(tmp) / "pair.afbuf"
             write_snapshot_pair(source, target, path, name="fuzz")
-            mapped_source, mapped_target, _name = open_snapshot_pair(path)
-            mapped = [_table_cells(mapped_source), _table_cells(mapped_target)]
-            if mapped != expected:
+            loaded_source, loaded_target, _name = open_snapshot_pair(path)
+            loaded = [_table_cells(loaded_source), _table_cells(loaded_target)]
+            if loaded != expected:
                 raise OracleFailure(
                     oracle="buffer_roundtrip",
-                    message="mmap-loaded snapshot differs from in-memory load",
+                    message="snapshot loaded from file differs from in-memory load",
                 )
     except OracleFailure:
         raise
@@ -469,8 +468,8 @@ def buffer_roundtrip(pair: SnapshotPair, *, seed: int = 0, **_ignored) -> None:
         corrupted, chain = mutate_buffer(blob, rng)
         try:
             tables, _extra, _name = unpack_tables(corrupted)
-            for table in tables:  # decode every cell: laziness must not
-                _table_cells(table)  # defer a crash past the oracle
+            for table in tables:  # read every cell back out
+                _table_cells(table)
         except BufferFormatError:
             continue  # detected corruption is the documented outcome
         except OracleFailure:

@@ -53,7 +53,7 @@ import time
 from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlparse
 
 from .. import __version__
@@ -245,23 +245,31 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # routing
     # ------------------------------------------------------------------ #
-    def do_GET(self) -> None:  # noqa: N802 - http.server naming
-        self._guarded(self._route_get)
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._guarded(self._route_post)
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._guarded(self._route_delete)
-
-    def _guarded(self, route) -> None:
-        """Run *route*; an unexpected error becomes a 500 JSON response
+    def _serve(self) -> None:
+        """Resolve the path once through :data:`_ROUTES` and run the
+        method's handler; an unexpected error becomes a 500 JSON response
         instead of a dropped connection.  Every exchange lands in the
         request counter and latency histogram under its route template."""
         started = time.perf_counter()
         self._status = 0
+        route_label = "unmatched"
         try:
-            route()
+            parsed = urlparse(self.path)
+            route_label, handlers, job_ids = _match_route(parsed.path)
+            handler = handlers.get(self.command)
+            query = parse_qs(parsed.query)
+            if handler is None:
+                # A known template with the wrong method is also not found.
+                self._send_error(404, "not_found", f"no such route: {parsed.path}")
+            elif not job_ids:
+                handler(self, query)
+            else:
+                try:
+                    job = self.server.manager.get(job_ids[0])
+                except JobNotFound:
+                    self._send_error(404, "unknown_job", f"unknown job: {job_ids[0]}")
+                else:
+                    handler(self, job, query)
         except BrokenPipeError:  # client went away mid-response
             self.close_connection = True
         except Exception as error:  # noqa: BLE001
@@ -272,58 +280,24 @@ class _Handler(BaseHTTPRequestHandler):
             except OSError:
                 pass
         finally:
-            route_label = self._route_label()
             _HTTP_REQUESTS.inc(method=self.command, route=route_label,
                                status=str(self._status or 0))
             _HTTP_LATENCY.observe(time.perf_counter() - started,
                                   method=self.command, route=route_label)
 
-    def _route_label(self) -> str:
-        """The request path collapsed onto its route template, so the
-        metrics label space stays bounded (no raw job ids)."""
-        parts = [p for p in urlparse(self.path).path.split("/") if p]
-        if parts == ["healthz"]:
-            return "/healthz"
-        if parts == ["metrics"]:
-            return "/metrics"
-        if parts == ["v1", "explain"]:
-            return "/v1/explain"
-        if parts == ["v1", "jobs"]:
-            return "/v1/jobs"
-        if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            return "/v1/jobs/{id}"
-        if len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "result":
-            return "/v1/jobs/{id}/result"
-        if len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "events":
-            return "/v1/jobs/{id}/events"
-        return "unmatched"
+    # http.server dispatches on do_<METHOD>; every method goes through the table.
+    do_GET = do_POST = do_DELETE = _serve
 
-    def _route_get(self) -> None:
-        parsed = urlparse(self.path)
-        parts = [p for p in parsed.path.split("/") if p]
-        if parts == ["healthz"]:
-            self._send_json(200, self._health_payload())
-        elif parts == ["metrics"]:
-            self._send_text(200, render_prometheus(),
-                            content_type=PROM_CONTENT_TYPE)
-        elif parts == ["v1", "jobs"]:
-            self._list_jobs(parse_qs(parsed.query))
-        elif len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            self._with_job(parts[2], lambda job: self._send_json(200, job_view(job)))
-        elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "result":
-            query = parse_qs(parsed.query)
-            self._with_job(parts[2], lambda job: self._send_result(job, query))
-        elif len(parts) == 4 and parts[:2] == ["v1", "jobs"] and parts[3] == "events":
-            query = parse_qs(parsed.query)
-            self._with_job(parts[2], lambda job: self._stream_events(job, query))
-        else:
-            self._send_error(404, "not_found", f"no such route: {parsed.path}")
+    def _get_health(self, _query: Dict[str, list]) -> None:
+        self._send_json(200, self._health_payload())
 
-    def _route_post(self) -> None:
-        parts = [p for p in urlparse(self.path).path.split("/") if p]
-        if parts != ["v1", "explain"]:
-            self._send_error(404, "not_found", f"no such route: {self.path}")
-            return
+    def _get_metrics(self, _query: Dict[str, list]) -> None:
+        self._send_text(200, render_prometheus(), content_type=PROM_CONTENT_TYPE)
+
+    def _get_job(self, job, _query: Dict[str, list]) -> None:
+        self._send_json(200, job_view(job))
+
+    def _post_explain(self, _query: Dict[str, list]) -> None:
         if self.server.quotas is not None:
             client = (self.headers.get(CLIENT_ID_HEADER) or "").strip() or "anonymous"
             retry = self.server.quotas.try_acquire(client)
@@ -355,13 +329,6 @@ class _Handler(BaseHTTPRequestHandler):
             return
         status = 200 if job.state is JobState.DONE else 202
         self._send_json(status, job_view(job))
-
-    def _route_delete(self) -> None:
-        parts = [p for p in urlparse(self.path).path.split("/") if p]
-        if len(parts) == 3 and parts[:2] == ["v1", "jobs"]:
-            self._with_job(parts[2], self._cancel_job)
-        else:
-            self._send_error(404, "not_found", f"no such route: {self.path}")
 
     # ------------------------------------------------------------------ #
     # endpoint bodies
@@ -458,7 +425,7 @@ class _Handler(BaseHTTPRequestHandler):
             report = render_report(job.instance, explanation, title=job.name)
             self._send_text(200, report + "\n")
 
-    def _cancel_job(self, job) -> None:
+    def _cancel_job(self, job, _query: Dict[str, list]) -> None:
         accepted = self.server.manager.cancel(job.id)
         if accepted:
             self._send_json(202, {"id": job.id, "cancelling": True,
@@ -572,14 +539,6 @@ class _Handler(BaseHTTPRequestHandler):
     # ------------------------------------------------------------------ #
     # plumbing
     # ------------------------------------------------------------------ #
-    def _with_job(self, job_id: str, action) -> None:
-        try:
-            job = self.server.manager.get(job_id)
-        except JobNotFound:
-            self._send_error(404, "unknown_job", f"unknown job: {job_id}")
-            return
-        action(job)
-
     def _read_json_body(self) -> Dict[str, Any]:
         try:
             length = int(self.headers.get("Content-Length") or 0)
@@ -654,6 +613,34 @@ class _Handler(BaseHTTPRequestHandler):
         # to be verbose, DEBUG otherwise).
         level = logging.INFO if self.server.verbose else logging.DEBUG
         logger.log(level, "%s %s", self.address_string(), format % args)
+
+
+#: Every route the server answers: its template (also the route label of the
+#: request metrics) and its handler per method.  ``{id}`` matches one path
+#: segment, a job id; the job is looked up before its handler runs.
+_ROUTES: Tuple[Tuple[str, Dict[str, Callable[..., None]]], ...] = (
+    ("/healthz", {"GET": _Handler._get_health}),
+    ("/metrics", {"GET": _Handler._get_metrics}),
+    ("/v1/explain", {"POST": _Handler._post_explain}),
+    ("/v1/jobs", {"GET": _Handler._list_jobs}),
+    ("/v1/jobs/{id}", {"GET": _Handler._get_job, "DELETE": _Handler._cancel_job}),
+    ("/v1/jobs/{id}/result", {"GET": _Handler._send_result}),
+    ("/v1/jobs/{id}/events", {"GET": _Handler._stream_events}),
+)
+
+
+def _match_route(path: str) -> Tuple[str, Dict[str, Callable[..., None]], List[str]]:
+    """``(template, handlers by method, job ids)`` of *path*; an unknown
+    path is ``("unmatched", {}, [])``.  Empty segments are ignored."""
+    parts = [part for part in path.split("/") if part]
+    for template, handlers in _ROUTES:
+        segments = template.strip("/").split("/")
+        if len(segments) == len(parts) and all(
+                segment in ("{id}", part) for segment, part in zip(segments, parts)):
+            return template, handlers, [
+                part for segment, part in zip(segments, parts) if segment == "{id}"
+            ]
+    return "unmatched", {}, []
 
 
 def create_server(host: str = "127.0.0.1", port: int = 0, *,

@@ -70,6 +70,31 @@ class TestSnapshotCache:
         assert outcome.result.cost >= 0
         assert entry.read_bytes() != b"not a buffer pack"
 
+    def test_truncated_entry_is_rewritten_byte_identically(
+            self, session, cache_dir, request_paths):
+        from repro.dataio import open_snapshot_pair
+
+        reference = session.explain(request_paths)
+        entry = next(iter(cache_dir.glob("*.afbuf")))
+        written = entry.read_bytes()
+        entry.write_bytes(written[:len(written) // 2])
+        outcome = session.explain(request_paths)
+        assert outcome.result.cost == reference.result.cost
+        assert outcome.result.explanation.functions == \
+            reference.result.explanation.functions
+        open_snapshot_pair(entry)
+        assert entry.read_bytes() == written
+
+    def test_data_root_may_be_a_string(self, data_root, cache_dir, request_paths):
+        session = (
+            Session()
+            .with_config(identity_configuration(max_expansions=50, seed=5))
+            .with_data_root(str(data_root))
+            .with_snapshot_cache(str(cache_dir))
+        )
+        assert session.explain(request_paths).result.cost >= 0
+        assert len(list(cache_dir.glob("*.afbuf"))) == 1
+
     def test_inline_csv_requests_are_cached_too(self, cache_dir, running_source,
                                                 running_target):
         from repro.dataio import to_csv_text
@@ -87,6 +112,19 @@ class TestSnapshotCache:
         assert len(list(cache_dir.glob("*.afbuf"))) == 1
         session.explain(request)
         assert len(list(cache_dir.glob("*.afbuf"))) == 1
+
+    def test_lone_surrogate_cell_bypasses_the_cache(self, cache_dir):
+        session = (
+            Session()
+            .with_config(identity_configuration(max_expansions=50, seed=5))
+            .with_snapshot_cache(cache_dir)
+        )
+        request = ExplainRequest(source_csv="a,b\n1\ud800,2\n",
+                                 target_csv="a,b\n1,2\n")
+        assert session.explain(request).result.cost == \
+            Session().with_config(identity_configuration(
+                max_expansions=50, seed=5)).explain(request).result.cost
+        assert not list(cache_dir.glob("*.afbuf"))
 
     def test_different_snapshots_get_different_entries(
             self, session, cache_dir, data_root, request_paths, running_target):

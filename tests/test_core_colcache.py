@@ -72,59 +72,72 @@ class TestColumnCache:
         assert cache.stats().hits == 1
         assert cache.stats().applications == 0
 
-    def test_transformed_matches_rowwise_column(self, table):
+    def test_transformed_codes_match_rowwise_column(self, table):
         cache = ColumnCache(table)
         function = Addition(5)
-        assert list(cache.transformed("num", function)) == transformed_column(
-            table, "num", function
-        )
+        codes = cache.transformed_codes("num", function)
+        codec = cache.codec("num")
+        assert list(codes) == [
+            codec.code_of(value)
+            for value in transformed_column(table, "num", function)
+        ]
+
+    def test_enabled_cache_serves_no_string_columns(self, table):
+        cache = ColumnCache(table)
+        with pytest.raises(ValueError):
+            cache.transformed("num", Addition(5))
+        assert cache.transformed("num", IDENTITY) is table.column_view("num")
 
     def test_inapplicable_cells_become_sentinel(self, table):
         cache = ColumnCache(table)
-        transformed = cache.transformed("text", Addition(5))
-        assert all(cell == NOT_APPLICABLE for cell in transformed)
+        code_map = cache.code_map_for("text", Addition(5))
+        assert {code_map[code] for code in cache.source_value_codes("text")} == {
+            NOT_APPLICABLE_CODE
+        }
 
     def test_value_map_is_reused_across_lookups(self, table):
         cache = ColumnCache(table)
         function = Addition(5)
-        cache.transformed("num", function)
+        cache.code_map_for("num", function)
         first_applications = cache.stats().applications
         # Three distinct values -> three applications, not five.
         assert first_applications == 3
-        cache.transformed("num", function)
+        cache.transformed_codes("num", function)
         stats = cache.stats()
         assert stats.applications == first_applications  # nothing recomputed
         assert stats.hits == 1 and stats.misses == 1
 
     def test_lru_eviction_and_stats(self, table):
         cache = ColumnCache(table, max_entries=1)
-        cache.transformed("num", Addition(1))
-        cache.transformed("num", Addition(2))   # evicts Addition(1)
+        cache.code_map_for("num", Addition(1))
+        cache.code_map_for("num", Addition(2))   # evicts Addition(1)
         assert len(cache) == 1
         stats = cache.stats()
         assert stats.evictions == 1
         assert stats.entries == 1
         assert stats.max_entries == 1
         # Re-requesting the evicted entry is a miss again.
-        cache.transformed("num", Addition(1))
+        cache.transformed_codes("num", Addition(1))
         assert cache.stats().misses == 3
         assert cache.stats().hits == 0
 
     def test_lru_order_is_by_recency(self, table):
         cache = ColumnCache(table, max_entries=2)
-        cache.transformed("num", Addition(1))
-        cache.transformed("num", Addition(2))
-        cache.transformed("num", Addition(1))   # refresh Addition(1)
-        cache.transformed("num", Addition(3))   # evicts Addition(2)
+        cache.code_map_for("num", Addition(1))
+        cache.code_map_for("num", Addition(2))
+        cache.code_map_for("num", Addition(1))   # refresh Addition(1)
+        cache.code_map_for("num", Addition(3))   # evicts Addition(2)
         assert cache.stats().evictions == 1
-        cache.transformed("num", Addition(1))
+        cache.code_map_for("num", Addition(1))
         assert cache.stats().hits == 2          # still cached
 
     def test_value_mappings_are_not_cached(self, table):
         cache = ColumnCache(table)
         mapping = ValueMapping({"1": "x", "2": "y"})
-        transformed = cache.transformed("num", mapping)
-        assert transformed == ["x", "y", "x", NOT_APPLICABLE, "y"]
+        codes = cache.transformed_codes("num", mapping)
+        code_of = cache.codec("num").code_of
+        assert list(codes) == [code_of("x"), code_of("y"), code_of("x"),
+                               NOT_APPLICABLE_CODE, code_of("y")]
         assert len(cache) == 0
 
     def test_disabled_cache_is_rowwise(self, table):
@@ -140,7 +153,7 @@ class TestColumnCache:
 
     def test_clear_drops_entries_keeps_counters(self, table):
         cache = ColumnCache(table)
-        cache.transformed("num", Addition(1))
+        cache.code_map_for("num", Addition(1))
         cache.clear()
         assert len(cache) == 0
         assert cache.stats().misses == 1
@@ -151,7 +164,7 @@ class TestColumnCache:
 
     def test_stats_as_dict_round_trip(self, table):
         cache = ColumnCache(table)
-        cache.transformed("num", Addition(1))
+        cache.code_map_for("num", Addition(1))
         payload = cache.stats().as_dict()
         assert payload["misses"] == 1
         assert payload["entries"] == 1
@@ -178,7 +191,7 @@ class TestDictionaryEncoding:
     def test_transformed_codes_mirror_transformed_strings(self, table):
         cache = ColumnCache(table)
         function = Addition(5)
-        strings = list(cache.transformed("num", function))
+        strings = list(ColumnCache(table, enabled=False).transformed("num", function))
         codes = list(cache.transformed_codes("num", function))
         assert len(strings) == len(codes)
         seen = {}
@@ -416,7 +429,7 @@ class TestDictionaryAndCodecEdgeCases:
     def test_all_sentinel_transformed_column_is_one_code(self, table):
         # A function inapplicable everywhere yields an all-NOT_APPLICABLE
         # column whose codes collapse onto the single reserved code.
-        cache = ColumnCache(table)
+        cache = ColumnCache(table, enabled=False)
         transformed = cache.transformed("text", Addition(5))
         assert set(transformed) == {NOT_APPLICABLE}
         codec = cache.codec("text")

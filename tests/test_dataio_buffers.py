@@ -1,26 +1,27 @@
 """Unit tests for repro.dataio.buffers: the binary columnar store."""
 
-import pickle
+import json
+import sys
+from array import array
 
 import pytest
 
+from repro.api import ExplainRequest, Session
 from repro.core import ProblemInstance
 from repro.dataio import (
-    BufferColumn,
     BufferFormatError,
     Column,
-    ColumnBuffer,
     Schema,
     Table,
     TableError,
-    ValueBlob,
-    buffer_table,
     content_digest,
     open_snapshot_pair,
     pack_tables,
+    read_csv_text,
     unpack_tables,
     write_snapshot_pair,
 )
+from repro.dataio.buffers import FORMAT_VERSION, MAGIC
 
 
 @pytest.fixture
@@ -45,145 +46,198 @@ def pair(schema):
     return source, target
 
 
+def round_trip(table: Table) -> Table:
+    """*table* after ``unpack_tables(pack_tables(...))``."""
+    (unpacked,), _extra, _name = unpack_tables(pack_tables([table]))
+    return unpacked
+
+
+def unpacked_column(cells) -> Column:
+    return round_trip(Table(Schema(["A"]), [[cell] for cell in cells])).column_view("A")
+
+
+def container(codes, offsets, data: bytes, *, n_values=None,
+              byteorder=sys.byteorder) -> bytes:
+    """A one-table, one-column container with hand-written sections, laid
+    out like :func:`pack_tables` output (so corrupt sections can be built)."""
+    arrays = [array("i", codes), array("Q", offsets)]
+    if byteorder != sys.byteorder:
+        for integers in arrays:
+            integers.byteswap()
+    sections = [arrays[0].tobytes(), arrays[1].tobytes(), data]
+    starts = [0, len(sections[0]), len(sections[0]) + len(sections[1])]
+    column = {
+        name: [start, len(section)]
+        for name, start, section in zip(("codes", "offsets", "data"), starts, sections)
+    }
+    column["n_values"] = len(offsets) - 1 if n_values is None else n_values
+    header = json.dumps({
+        "format": FORMAT_VERSION,
+        "byteorder": byteorder,
+        "name": "",
+        "extra": [sum(map(len, sections)), 0],
+        "tables": [{"schema": ["A"], "n_rows": len(codes), "columns": [column]}],
+    }).encode("utf-8")
+    return MAGIC + len(header).to_bytes(8, "little") + header + b"".join(sections)
+
+
+def decoded(blob: bytes) -> list:
+    (unpacked,), _extra, _name = unpack_tables(blob)
+    return list(unpacked.column_view("A"))
+
+
 class TestValueBlob:
     def test_round_trip(self):
-        blob = ValueBlob.from_values(["alpha", "", "βγ", "b"])
-        assert len(blob) == 4
-        assert blob.values() == ["alpha", "", "βγ", "b"]
-        assert blob.value(2) == "βγ"
+        assert list(unpacked_column(["alpha", "", "βγ", "b"])) == \
+            ["alpha", "", "βγ", "b"]
+
+    def test_hand_written_sections_decode(self):
+        assert decoded(container([0, 2, 1], [0, 5, 5, 9], b"alpha\xce\xb2\xce\xb3")) \
+            == ["alpha", "βγ", ""]
+
+    def test_foreign_byte_order_is_swapped(self):
+        foreign = "big" if sys.byteorder == "little" else "little"
+        assert decoded(container([0, 1, 0], [0, 1, 3], b"abc", byteorder=foreign)) \
+            == ["a", "bc", "a"]
 
     def test_empty(self):
-        blob = ValueBlob.from_values([])
-        blob.validate()
-        assert len(blob) == 0
-        assert blob.values() == []
+        assert decoded(container([], [0], b"")) == []
+        assert list(unpacked_column([])) == []
 
     def test_out_of_range_index(self):
-        blob = ValueBlob.from_values(["a"])
         with pytest.raises(BufferFormatError):
-            blob.value(1)
+            unpack_tables(container([1], [0, 1], b"a"))
         with pytest.raises(BufferFormatError):
-            blob.value(-1)
+            unpack_tables(container([-1], [0, 1], b"a"))
 
     def test_validate_rejects_decreasing_offsets(self):
-        blob = ValueBlob([0, 2, 1], b"ab")
         with pytest.raises(BufferFormatError):
-            blob.validate()
+            unpack_tables(container([0], [0, 2, 1], b"ab"))
+
+    def test_validate_rejects_bad_first_offset(self):
+        with pytest.raises(BufferFormatError):
+            unpack_tables(container([0], [1, 2], b"ab"))
 
     def test_validate_rejects_bad_terminal_offset(self):
-        blob = ValueBlob([0, 1], b"abc")
         with pytest.raises(BufferFormatError):
-            blob.validate()
+            unpack_tables(container([0], [0, 1], b"abc"))
 
     def test_validate_rejects_empty_offsets(self):
         with pytest.raises(BufferFormatError):
-            ValueBlob([], b"").validate()
+            unpack_tables(container([], [], b"", n_values=0))
 
     def test_invalid_utf8_is_a_format_error(self):
-        blob = ValueBlob([0, 2], b"\xff\xfe")
         with pytest.raises(BufferFormatError):
-            blob.value(0)
+            unpack_tables(container([0], [0, 2], b"\xff\xfe"))
 
 
-class TestColumnBuffer:
-    def test_from_column_round_trip(self):
-        column = Column(["x", "y", "x", "z"])
-        buffer = ColumnBuffer.from_column(column)
-        assert buffer.n_rows == 4
-        assert buffer.n_values == 3
-        assert buffer.decode() == ["x", "y", "x", "z"]
-        assert buffer.codebook() == {"x": 0, "y": 1, "z": 2}
-
-    def test_contains_and_histogram_without_decoding_cells(self):
-        buffer = ColumnBuffer.from_column(Column(["a", "b", "a"]))
-        assert buffer.contains("a")
-        assert not buffer.contains("missing")
-        assert buffer.value_histogram() == {"a": 2, "b": 1}
+class TestColumnCodes:
+    def test_round_trip_keeps_the_encoding(self):
+        column = unpacked_column(["x", "y", "x", "z"])
+        assert list(column) == ["x", "y", "x", "z"]
+        codes, codebook = column.dictionary()
+        assert codes == [0, 1, 0, 2]
+        assert codebook == {"x": 0, "y": 1, "z": 2}
 
     def test_out_of_range_code_rejected(self):
-        buffer = ColumnBuffer([0, 5], ValueBlob.from_values(["only"]))
         with pytest.raises(BufferFormatError):
-            buffer.validate()
+            unpack_tables(container([0, 5], [0, 4], b"only"))
 
     def test_negative_code_rejected(self):
-        buffer = ColumnBuffer([-1], ValueBlob.from_values(["only"]))
         with pytest.raises(BufferFormatError):
-            buffer.decode()
+            unpack_tables(container([-1], [0, 4], b"only"))
 
     def test_non_injective_codebook_rejected(self):
-        buffer = ColumnBuffer([0, 1], ValueBlob.from_values(["dup", "dup"]))
         with pytest.raises(BufferFormatError):
-            buffer.codebook()
+            unpack_tables(container([0, 1], [0, 3, 6], b"dupdup"))
 
-    def test_from_buffer_column_reuses_buffer(self):
-        buffer = ColumnBuffer.from_column(Column(["a", "b"]))
-        wrapped = BufferColumn(buffer)
-        assert ColumnBuffer.from_column(wrapped) is buffer
+    def test_codes_out_of_first_occurrence_order_are_re_encoded(self):
+        # Not what pack_tables writes: the cells decode, and the column's
+        # dictionary is still its first-occurrence encoding.
+        (unpacked,), _extra, _name = unpack_tables(container([1, 0, 1], [0, 1, 2], b"ab"))
+        column = unpacked.column_view("A")
+        assert list(column) == ["b", "a", "b"]
+        assert column.dictionary() == ([0, 1, 0], {"b": 0, "a": 1})
+
+    def test_unused_codebook_values_are_not_in_the_dictionary(self):
+        (unpacked,), _extra, _name = unpack_tables(container([0, 0], [0, 1, 2], b"ab"))
+        assert unpacked.column_view("A").dictionary() == ([0, 0], {"a": 0})
 
 
-class TestBufferColumn:
-    def _column(self, cells=("a", "b", "a", "c")):
-        return BufferColumn(ColumnBuffer.from_column(Column(list(cells))))
-
-    def test_stats_queries_stay_lazy(self):
-        column = self._column()
-        assert len(column) == 4
-        assert "b" in column
-        assert "missing" not in column
-        assert column.value_counts() == {"a": 2, "b": 1, "c": 1}
-        codes, codebook = column.dictionary()
-        assert list(codes) == [0, 1, 0, 2]
-        assert codebook == {"a": 0, "b": 1, "c": 2}
-        assert not column.materialised
-
-    def test_positional_access_materialises(self):
-        column = self._column()
-        assert column[1] == "b"
-        assert column.materialised
-        assert list(column) == ["a", "b", "a", "c"]
-
+class TestUnpackedColumn:
     def test_equality_both_directions(self):
         plain = Column(["a", "b", "a", "c"])
-        assert self._column() == plain
-        assert plain == self._column()
-        assert self._column() == ["a", "b", "a", "c"]
-        assert self._column() != ["a", "b"]
-
-    def test_non_string_membership_is_false_while_lazy(self):
-        assert 42 not in self._column()
-
-    def test_mutation_detaches_the_buffer(self):
-        column = self._column()
-        column.append("d")
-        assert column.buffer is None
-        assert list(column) == ["a", "b", "a", "c", "d"]
-        assert column.value_counts()["d"] == 1
-
-    def test_pickle_flattens_to_plain_column(self):
-        clone = pickle.loads(pickle.dumps(self._column()))
-        assert type(clone) is Column
-        assert list(clone) == ["a", "b", "a", "c"]
+        assert unpacked_column(["a", "b", "a", "c"]) == plain
+        assert plain == unpacked_column(["a", "b", "a", "c"])
+        assert unpacked_column(["a", "b", "a", "c"]) == ["a", "b", "a", "c"]
+        assert unpacked_column(["a", "b", "a", "c"]) != ["a", "b"]
 
     def test_stats_agree_with_plain_column(self):
         cells = ["10", "20", "10", "x", ""]
-        lazy, plain = self._column(cells), Column(cells)
-        assert lazy.kind == plain.kind
-        assert lazy.distinct_count() == plain.distinct_count()
-        assert lazy.missing_count() == plain.missing_count()
-        assert lazy.numeric_count() == plain.numeric_count()
+        unpacked, plain = unpacked_column(cells), Column(cells)
+        assert unpacked.kind == plain.kind
+        assert unpacked.value_counts() == plain.value_counts()
+        assert unpacked.distinct_count() == plain.distinct_count()
+        assert unpacked.missing_count() == plain.missing_count()
+        assert unpacked.numeric_count() == plain.numeric_count()
 
 
-class TestBufferTable:
-    def test_buffer_table_preserves_contents(self, table):
-        clone = buffer_table(table)
+#: The table on which list methods of lazily decoded columns went wrong.
+TRAP_CSV = "a,b\nx,1\ny,2\nx,3\n"
+
+
+def _unpacked(tmp_path, csv_table):
+    return round_trip(csv_table)
+
+
+def _opened(tmp_path, csv_table):
+    path = write_snapshot_pair(csv_table, csv_table, tmp_path / "pair.afbuf")
+    return open_snapshot_pair(path)[0]
+
+
+def _snapshot_cache_hit(tmp_path, csv_table):
+    session = Session().with_snapshot_cache(tmp_path / "cache")
+    request = ExplainRequest(source_csv=TRAP_CSV, target_csv=TRAP_CSV)
+    session.prepare(request)                        # miss: writes the entry
+    assert list((tmp_path / "cache").glob("*.afbuf"))
+    return session.prepare(request).instance.source  # hit
+
+
+class TestLoadedColumnsArePlainLists:
+    """Every list method answers on a loaded column as on the CSV column."""
+
+    @pytest.mark.parametrize("load", [_unpacked, _opened, _snapshot_cache_hit],
+                             ids=["unpack_tables", "open_snapshot_pair",
+                                  "snapshot_cache_hit"])
+    def test_list_methods_match_the_csv_column(self, tmp_path, load):
+        csv_table = read_csv_text(TRAP_CSV)
+        loaded = load(tmp_path, csv_table)
+        assert loaded.frozen
+        for attribute in csv_table.schema:
+            column = loaded.column_view(attribute)
+            expected = csv_table.column_view(attribute)
+            assert type(column) is Column
+            for value in ("x", "y", "1", "3"):
+                assert column.count(value) == expected.count(value)
+                if value in expected:
+                    assert column.index(value) == expected.index(value)
+            assert column.copy() == expected.copy()
+            assert column + ["z"] == expected + ["z"]
+            assert (column < ["y"]) == (expected < ["y"])
+            assert (column < expected + ["z"]) is True
+
+
+class TestUnpackedTable:
+    def test_round_trip_preserves_contents(self, table):
+        clone = round_trip(table)
         assert clone.n_rows == table.n_rows
         assert list(clone.schema) == list(table.schema)
         for attribute in table.schema:
             assert list(clone.column_view(attribute)) == \
                 list(table.column_view(attribute))
 
-    def test_buffer_table_is_frozen(self, table):
-        clone = buffer_table(table)
+    def test_round_trip_is_frozen(self, table):
+        clone = round_trip(table)
         with pytest.raises(TableError):
             clone.append(("9", "z", "90"))
 
@@ -201,13 +255,6 @@ class TestContainer:
             for attribute in original.schema:
                 assert list(unpacked.column_view(attribute)) == \
                     list(original.column_view(attribute))
-
-    def test_unpacked_columns_are_lazy(self, pair):
-        tables, _extra, _name = unpack_tables(pack_tables(list(pair)))
-        column = tables[0].column_view("name")
-        assert isinstance(column, BufferColumn)
-        assert not column.materialised
-        assert len(column) == 3
 
     def test_pack_is_deterministic(self, pair):
         assert pack_tables(list(pair)) == pack_tables(list(pair))

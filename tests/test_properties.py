@@ -306,10 +306,12 @@ class TestColumnarEngineProperties:
         cached = ColumnCache(table)
         rowwise = ColumnCache(table, enabled=False)
         expected = transformed_column(table, "a", function)
-        assert list(cached.transformed("a", function)) == expected
+        codes = list(cached.transformed_codes("a", function))
+        code_of = cached.codec("a").code_of
+        assert codes == [code_of(value) for value in expected]
         assert list(rowwise.transformed("a", function)) == expected
-        # Second lookup must serve the identical column from the value map.
-        assert list(cached.transformed("a", function)) == expected
+        # Second lookup must serve the identical codes from the entry.
+        assert list(cached.transformed_codes("a", function)) == codes
 
     @given(values=st.lists(cell_values, min_size=1, max_size=30), function=functions)
     @settings(max_examples=60, deadline=None)
@@ -413,8 +415,8 @@ class TestColumnarEngineProperties:
     def test_buffer_backed_instances_are_bit_identical(
             self, source_rows, target_rows, seed):
         """A save/load round trip through the ``AFBUF01`` snapshot file,
-        whose tables come back lazy and BufferColumn-backed, must not
-        perturb the search on either engine."""
+        whose columns come back decoded from the stored codes and
+        codebooks, must not perturb the search on either engine."""
         import tempfile
         from pathlib import Path
 

@@ -641,6 +641,59 @@ def test_every_error_route_answers_the_envelope(base_url):
     assert payload["state"] == "done"
 
 
+# --------------------------------------------------------------------- #
+# the route table: status, error code and metrics label of every route
+# --------------------------------------------------------------------- #
+ROUTE_CASES = [
+    # (method, path, status, error code, route label); {job} is a done job
+    ("GET", "/healthz", 200, None, "/healthz"),
+    ("GET", "/metrics", 200, None, "/metrics"),
+    ("POST", "/v1/explain", 202, None, "/v1/explain"),
+    ("GET", "/v1/jobs", 200, None, "/v1/jobs"),
+    ("GET", "/v1/jobs/{job}", 200, None, "/v1/jobs/{id}"),
+    ("GET", "/v1/jobs/{job}/result", 200, None, "/v1/jobs/{id}/result"),
+    ("GET", "/v1/jobs/{job}/events", 200, None, "/v1/jobs/{id}/events"),
+    ("DELETE", "/v1/jobs/{job}", 409, "job_already_finished", "/v1/jobs/{id}"),
+    ("GET", "/v1/jobs/job-missing", 404, "unknown_job", "/v1/jobs/{id}"),
+    ("POST", "/v1/jobs", 404, "not_found", "/v1/jobs"),
+    ("GET", "/nope", 404, "not_found", "unmatched"),
+]
+
+
+def http_requests_total(base_url, method, route, status) -> float:
+    """One ``repro_http_requests_total`` sample, read from ``/metrics``."""
+    _status, body = request(base_url, "GET", "/metrics")
+    prefix = (f'repro_http_requests_total{{method="{method}",route="{route}",'
+              f'status="{status}"}} ')
+    for line in body.splitlines():
+        if line.startswith(prefix):
+            return float(line[len(prefix):])
+    return 0.0
+
+
+@pytest.mark.parametrize("method, path, status, code, label", ROUTE_CASES,
+                         ids=[f"{case[0]} {case[1]}" for case in ROUTE_CASES])
+def test_route_status_code_and_metrics_label(base_url, method, path, status,
+                                             code, label):
+    _status, view = request(base_url, "POST", "/v1/explain",
+                            explain_body(902, use_cache=False))
+    wait_for_state(base_url, view["id"], {"done"})
+    before = http_requests_total(base_url, method, label, status)
+    body = explain_body(903, use_cache=False) if method == "POST" else None
+    answered, payload = request(base_url, method,
+                                path.replace("{job}", view["id"]), body)
+    assert answered == status
+    if code is None:
+        assert not (isinstance(payload, dict) and "code" in payload)
+    else:
+        assert_envelope(payload, code)
+    # The counter is bumped after the response is written: poll for it.
+    deadline = time.monotonic() + 10.0
+    while http_requests_total(base_url, method, label, status) < before + 1:
+        assert time.monotonic() < deadline, f"no {method} {label} {status} sample"
+        time.sleep(POLL_INTERVAL)
+
+
 def test_result_not_ready_is_enveloped_409(base_url):
     body = explain_body(901, throttle_seconds=0.5, use_cache=False)
     status, view = request(base_url, "POST", "/v1/explain", body)
